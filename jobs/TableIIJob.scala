@@ -36,7 +36,7 @@ object TableIIJob {
     cellSpecs.map(c => (c.build(spark), c.eps))
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("fdm-table2")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -11,7 +11,7 @@ import repro.data.Datasets
   */
 object TableIJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("fdm-table1")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Diversity, Element, Metric}
+import repro.core.{Element, Metric}
 
 /** FairGMM [32] — the offline 1/5-approximation for fair max-min diversity
   * maximization, practical only for small k and m: build a GMM candidate
@@ -55,9 +55,4 @@ object FairGMM {
     for (i <- 1 to r) res = res * (n - r + i) / i
     res
   }
-
-  /** Exposed for tests: exact diversity achieved by [[run]] equals
-    * brute-force over the pools.
-    */
-  def divOf(sol: Seq[Element], metric: Metric): Double = Diversity.div(sol, metric)
 }

@@ -1,7 +1,6 @@
 package repro.baseline
 
-import repro.core.{Diversity, Element, Metric}
-import scala.collection.mutable
+import repro.core.{Element, Metric, SFDM1}
 
 /** FairSwap [32] — the offline 1/4-approximation for fair max-min diversity
   * maximization with m = 2 groups, reimplemented from the description in
@@ -9,30 +8,14 @@ import scala.collection.mutable
   * solution by inserting the farthest point of the under-filled group chosen
   * from the *entire* group (random access over all of X — this is what makes
   * it offline and O(nk)) and deleting the over-filled group's point closest
-  * to the under-filled group's points.
+  * to the under-filled group's points — SFDM1's [[SFDM1.balance]] with the
+  * whole of X as the pool.
   */
 object FairSwap {
 
   def run(xs: IndexedSeq[Element], k1: Int, k2: Int, metric: Metric): Vector[Element] = {
     require(xs.forall(e => e.group == 0 || e.group == 1), "FairSwap requires groups in {0,1}")
-    val ks = Array(k1, k2)
-    val k = k1 + k2
     require(xs.count(_.group == 0) >= k1 && xs.count(_.group == 1) >= k2, "quotas infeasible")
-    val s = mutable.ArrayBuffer.from(GMM.run(xs, k, metric))
-    val cnt = Array(s.count(_.group == 0), s.count(_.group == 1))
-    val iu = if (cnt(0) < ks(0)) 0 else if (cnt(1) < ks(1)) 1 else return s.toVector
-    val pool = mutable.ArrayBuffer.from(xs.filter(e => e.group == iu && !s.exists(_.id == e.id)))
-    while (s.count(_.group == iu) < ks(iu)) {
-      val inGroup = s.filter(_.group == iu)
-      val pick = pool.maxBy(x => (Diversity.distToSet(x, inGroup, metric), -x.id))
-      s += pick
-      pool -= pick
-    }
-    val inGroupU = s.filter(_.group == iu)
-    while (s.length > k) {
-      val victim = s.filter(_.group != iu).minBy(x => (Diversity.distToSet(x, inGroupU, metric), x.id))
-      s -= victim
-    }
-    s.toVector
+    SFDM1.balance(GMM.run(xs, k1 + k2, metric), xs, IndexedSeq(k1, k2), metric)
   }
 }

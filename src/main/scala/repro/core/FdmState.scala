@@ -50,6 +50,6 @@ trait FdmState extends Serializable {
     */
   def contents: IndexedSeq[Element]
 
-  /** Distinct elements currently stored across all candidates. */
+  /** `|contents|`: the memory figure reported as [[FdmResult.storedElements]]. */
   def storedElementCount: Int = contents.size
 }

@@ -28,9 +28,6 @@ object GuessLadder {
     require(out.length < MaxGuesses, s"guess ladder overflow: dmin=$dmin dmax=$dmax eps=$eps")
     out
   }
-
-  /** Number of guesses without materializing the ladder. */
-  def size(dmin: Double, dmax: Double, eps: Double): Int = apply(dmin, dmax, eps).length
 }
 
 /** Bounds `[d_min, d_max]` on pairwise distances.
@@ -84,7 +81,8 @@ object DistanceBounds {
       if (d > far) far = d
       i += 1
     }
-    val dmax = math.max(2 * far, Double.MinPositiveValue)
+    require(far > 0, "degenerate dataset: all points coincide")
+    val dmax = 2 * far
     // Deterministic stride sample.
     val stride = math.max(1, xs.length / sampleSize)
     val sample = xs.indices.by(stride).map(xs).toIndexedSeq

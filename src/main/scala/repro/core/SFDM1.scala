@@ -8,9 +8,8 @@ import scala.collection.mutable
   * Stream processing keeps, per guess µ: a group-blind candidate `S_µ`
   * (capacity k = k₁+k₂) and group-specific candidates `S_µ,i` (capacity k_i).
   * Post-processing runs on `U' = {µ : |S_µ|=k ∧ |S_µ,i|=k_i ∀i}` and balances
-  * each `S_µ` by greedily inserting from the under-filled group's candidate
-  * (farthest-first, like GMM) and deleting from the over-filled group
-  * (closest to the under-filled group's elements), per Lines 10–17.
+  * each `S_µ` with [[SFDM1.balance]] from the under-filled group's candidate
+  * (Lines 10–17).
   *
   * Stores O(k·logΔ/ε) elements; O(k·logΔ/ε) time per element;
   * O(k²·logΔ/ε) post-processing time (Theorem 3).
@@ -21,86 +20,45 @@ final class SFDM1(
     eps: Double,
     bounds: DistanceBounds,
     metric: Metric,
-) extends FdmState {
+) extends CandidateBank(k1 + k2, IndexedSeq(k1, k2), eps, bounds, metric) {
   require(k1 >= 1 && k2 >= 1, s"group quotas must be ≥ 1, got ($k1, $k2)")
-  val k: Int = k1 + k2
-  private val ks = Array(k1, k2)
+  private val ks = IndexedSeq(k1, k2)
 
-  val guesses: Array[Double] = GuessLadder(bounds.dmin, bounds.dmax, eps)
-  private val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, metric))
-  // grp(i)(j): candidate for group i at guess j.
-  private val grp: Array[Array[Candidate]] =
-    Array.tabulate(2)(i => guesses.map(mu => new Candidate(ks(i), mu, metric)))
-
-  private var streamNs = 0L
-
-  override def process(x: Element): Unit = {
-    require(x.group == 0 || x.group == 1, s"SFDM1 requires groups in {0,1}, got ${x.group}")
-    val t0 = System.nanoTime()
-    val g = grp(x.group)
-    var j = 0
-    while (j < guesses.length) {
-      blind(j).tryAdd(x)
-      g(j).tryAdd(x)
-      j += 1
-    }
-    streamNs += System.nanoTime() - t0
+  override protected def postProcess(): Vector[Element] = {
+    val uPrime = eligible(ks)
+    if (uPrime.isEmpty) fallback(ks)
+    else uPrime.map(j => SFDM1.balance(blind(j).elements, ks.indices.flatMap(grp(_)(j).elements), ks, metric))
+      .maxBy(Diversity.div(_, metric))
   }
+}
 
-  override def contents: IndexedSeq[Element] = {
-    val seen = mutable.LinkedHashMap.empty[Long, Element]
-    blind.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e)))
-    grp.foreach(_.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e))))
-    seen.values.toIndexedSeq
-  }
+object SFDM1 {
 
-  /** Balance one group-blind candidate for fairness (Lines 11–17). Returns
-    * the fair set (size k, exactly k_i per group).
+  /** The swap balance of SFDM1 (Lines 11–17) and FairSwap for m = 2 groups.
+    * If group `iu` holds fewer than `ks(iu)` elements of `s`, insert `pool`
+    * elements of group `iu` farthest-first from the group-`iu` elements
+    * already in `s` (GMM-style; distance to the empty set is +∞, ties go to
+    * the smaller id), then delete the other group's elements closest to
+    * group `iu`'s until `|s| = Σ ks`. A balanced `s` is returned unchanged.
     */
-  private def balance(j: Int): Vector[Element] = {
-    val s = mutable.ArrayBuffer.from(blind(j).elements)
-    val cnt = Array(s.count(_.group == 0), s.count(_.group == 1))
-    val iu = if (cnt(0) < ks(0)) 0 else if (cnt(1) < ks(1)) 1 else return s.toVector
-    // Insertions: farthest-first from S_µ,iu w.r.t. the under-filled group's
-    // elements already in S_µ (d to empty set = +∞ → deterministic id tie-break).
-    val pool = grp(iu)(j).elements.filterNot(e => s.exists(_.id == e.id))
-    val poolLeft = mutable.ArrayBuffer.from(pool)
-    while (s.count(_.group == iu) < ks(iu)) {
-      val inGroup = s.filter(_.group == iu)
-      val pick = poolLeft.maxBy(x => (Diversity.distToSet(x, inGroup, metric), -x.id))
-      s += pick
-      poolLeft -= pick
+  def balance(s0: Seq[Element], pool: Seq[Element], ks: IndexedSeq[Int], metric: Metric): Vector[Element] = {
+    val s = mutable.ArrayBuffer.from(s0)
+    ks.indices.find(i => s.count(_.group == i) < ks(i)) match {
+      case None => s.toVector
+      case Some(iu) =>
+        val poolLeft = mutable.ArrayBuffer.from(pool.filter(e => e.group == iu && !s.exists(_.id == e.id)))
+        while (s.count(_.group == iu) < ks(iu)) {
+          val inGroup = s.filter(_.group == iu)
+          val pick = poolLeft.maxBy(x => (Diversity.distToSet(x, inGroup, metric), -x.id))
+          s += pick
+          poolLeft -= pick
+        }
+        val inGroupU = s.filter(_.group == iu)
+        while (s.length > ks.sum) {
+          val victim = s.filter(_.group != iu).minBy(x => (Diversity.distToSet(x, inGroupU, metric), x.id))
+          s -= victim
+        }
+        s.toVector
     }
-    // Deletions: from the other group, closest to the under-filled group's
-    // elements, until |S_µ| = k.
-    val inGroupU = s.filter(_.group == iu)
-    while (s.length > k) {
-      val victim = s.filter(_.group != iu).minBy(x => (Diversity.distToSet(x, inGroupU, metric), x.id))
-      s -= victim
-    }
-    s.toVector
-  }
-
-  override def finish(): FdmResult = {
-    val t0 = System.nanoTime()
-    val uPrime = guesses.indices.filter { j =>
-      blind(j).size == k && grp(0)(j).size == ks(0) && grp(1)(j).size == ks(1)
-    }
-    val fairSets: Seq[Vector[Element]] =
-      if (uPrime.nonEmpty) uPrime.map(balance)
-      else fallback()
-    val best = fairSets.maxBy(Diversity.div(_, metric))
-    val post = System.nanoTime() - t0
-    FdmResult(best, Diversity.div(best, metric), storedElementCount, streamNs, post)
-  }
-
-  /** Degenerate case (U' empty — ladder floor too high for the data): build a
-    * best-effort fair set from the largest group-specific candidates. The
-    * paper assumes this cannot happen; kept for robustness on adversarial
-    * bounds and surfaced via `solution.size` checks in callers.
-    */
-  private def fallback(): Seq[Vector[Element]] = {
-    val j = guesses.indices.minBy(j => -(grp(0)(j).size + grp(1)(j).size))
-    Seq((grp(0)(j).elements.take(ks(0)) ++ grp(1)(j).elements.take(ks(1))).toVector)
   }
 }

@@ -25,37 +25,9 @@ final class SFDM2(
     eps: Double,
     bounds: DistanceBounds,
     metric: Metric,
-) extends FdmState {
+) extends CandidateBank(ks.sum, IndexedSeq.fill(ks.length)(ks.sum), eps, bounds, metric) {
   require(ks.nonEmpty && ks.forall(_ >= 1), s"group quotas must all be ≥ 1, got $ks")
   val m: Int = ks.length
-  val k: Int = ks.sum
-
-  val guesses: Array[Double] = GuessLadder(bounds.dmin, bounds.dmax, eps)
-  private val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, metric))
-  private val grp: Array[Array[Candidate]] =
-    Array.fill(m)(guesses.map(mu => new Candidate(k, mu, metric)))
-
-  private var streamNs = 0L
-
-  override def process(x: Element): Unit = {
-    require(x.group >= 0 && x.group < m, s"group ${x.group} out of range [0,$m)")
-    val t0 = System.nanoTime()
-    val g = grp(x.group)
-    var j = 0
-    while (j < guesses.length) {
-      blind(j).tryAdd(x)
-      g(j).tryAdd(x)
-      j += 1
-    }
-    streamNs += System.nanoTime() - t0
-  }
-
-  override def contents: IndexedSeq[Element] = {
-    val seen = mutable.LinkedHashMap.empty[Long, Element]
-    blind.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e)))
-    grp.foreach(_.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e))))
-    seen.values.toIndexedSeq
-  }
 
   /** Single-linkage clustering of `sAll` at threshold µ/(m+1) (Lines 13–16)
     * via union-find. Returns a cluster id per element id.
@@ -80,7 +52,7 @@ final class SFDM2(
   /** Post-process one guess: initial partial solution, clusters, matroid
     * intersection (Lines 11–18). Returns the augmented set (fair iff size k).
     */
-  private def postProcess(j: Int): Vector[Element] = {
+  private def solveGuess(j: Int): Vector[Element] = {
     val mu = guesses(j)
     // Line 11: from each group keep min(k_i, count) elements of S_µ (arbitrary
     // choice allowed — insertion order kept for determinism).
@@ -88,11 +60,9 @@ final class SFDM2(
     val sPrime = (0 until m).flatMap { i =>
       byGroup.getOrElse(i, IndexedSeq.empty).take(ks(i))
     }.toVector
-    // Line 12: S_all = all candidates at this guess, dedup by id.
-    val seen = mutable.LinkedHashMap.empty[Long, Element]
-    grp.foreach(_(j).elements.foreach(e => seen.getOrElseUpdate(e.id, e)))
-    blind(j).elements.foreach(e => seen.getOrElseUpdate(e.id, e))
-    val sAll = seen.values.toIndexedSeq
+    // Line 12: S_all = all candidates at this guess, dedup by id. Group
+    // candidates come first: Algorithm 4 walks the ground set in this order.
+    val sAll = distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j)))
     // Lines 13–16: clusters.
     val cid = clusterIds(sAll, mu)
     // Line 17: M1 = fairness partition matroid, M2 = cluster partition matroid.
@@ -108,24 +78,9 @@ final class SFDM2(
     MatroidIntersection.augmentToMax(m1, m2, metric, s0.toVector)
   }
 
-  override def finish(): FdmResult = {
-    val t0 = System.nanoTime()
-    val uPrime = guesses.indices.filter { j =>
-      blind(j).size == k && (0 until m).forall(i => grp(i)(j).size >= ks(i))
-    }
-    val fairSets = uPrime.map(postProcess).filter(_.size == k)
-    val best =
-      if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, metric))
-      else fallback()
-    val post = System.nanoTime() - t0
-    FdmResult(best, Diversity.div(best, metric), storedElementCount, streamNs, post)
-  }
-
-  /** Degenerate case (no guess yielded a full fair set): best-effort fair set
-    * from the group-specific candidates at the most-populated guess.
-    */
-  private def fallback(): Vector[Element] = {
-    val j = guesses.indices.minBy(j => -(0 until m).map(i => math.min(grp(i)(j).size, ks(i))).sum)
-    (0 until m).flatMap(i => grp(i)(j).elements.take(ks(i))).toVector
+  override protected def postProcess(): Vector[Element] = {
+    val fairSets = eligible(ks).map(solveGuess).filter(_.size == k)
+    if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, metric))
+    else fallback(ks)
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** Algorithm 1 — the streaming algorithm for *unconstrained* max-min
   * diversity maximization of Borassi et al. [7], with the improved
   * `(1-ε)/2` approximation ratio of Theorem 1.
@@ -13,44 +15,22 @@ final class StreamingDM(
     eps: Double,
     bounds: DistanceBounds,
     metric: Metric,
-) extends FdmState {
+) extends CandidateBank(k, IndexedSeq.empty, eps, bounds, metric) {
   require(k >= 2, s"k must be ≥ 2, got $k")
 
-  /** Ascending guesses for OPT. */
-  val guesses: Array[Double] = GuessLadder(bounds.dmin, bounds.dmax, eps)
-  private val cands: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, metric))
-
-  private var streamNs = 0L
-
-  override def process(x: Element): Unit = {
-    val t0 = System.nanoTime()
-    var i = 0
-    while (i < cands.length) { cands(i).tryAdd(x); i += 1 }
-    streamNs += System.nanoTime() - t0
-  }
-
-  override def contents: IndexedSeq[Element] = {
-    val seen = scala.collection.mutable.LinkedHashMap.empty[Long, Element]
-    cands.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e)))
-    seen.values.toIndexedSeq
-  }
-
-  /** All candidates (exposed for tests and for coreset merging). */
-  def candidates: IndexedSeq[Candidate] = cands
+  /** All candidates, ascending in µ (exposed for tests). */
+  def candidates: IndexedSeq[Candidate] = ArraySeq.unsafeWrapArray(blind)
 
   /** Line 7: among full candidates, the one with maximum diversity. If no
     * candidate filled (possible only when the ladder floor exceeds what the
     * data admits), falls back to the largest candidate — best effort, flagged
     * by `solution.size < k`.
     */
-  override def finish(): FdmResult = {
-    val t0 = System.nanoTime()
-    val full = cands.filter(_.size == k)
+  override protected def postProcess(): Vector[Element] = {
+    val full = eligible(IndexedSeq.empty).map(blind)
     val pick =
       if (full.nonEmpty) full.maxBy(c => Diversity.div(c.elements, metric))
-      else cands.maxBy(_.size)
-    val sol = pick.elements.toVector
-    val post = System.nanoTime() - t0
-    FdmResult(sol, Diversity.div(sol, metric), storedElementCount, streamNs, post)
+      else blind.maxBy(_.size)
+    pick.elements.toVector
   }
 }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -14,9 +14,6 @@ import repro.core._
   *     on the driver;
   *  3. `stream.StructuredFDM` — a Structured Streaming `foreachBatch` job
   *     (the repro band's target), in its own module.
-  *
-  * Plus [[estimateBounds]] (distributed d_min/d_max estimation) and
-  * [[gmmSpark]] (the GMM baseline as an iterative DataFrame computation).
   */
 object SparkFDM {
 
@@ -35,36 +32,6 @@ object SparkFDM {
   /** Collect the whole DataFrame in its current order — test-scale only. */
   def collectElements(df: DataFrame): IndexedSeq[Element] =
     toDS(df).collect().map(_.toElement).toIndexedSeq
-
-  /** Distributed d_min/d_max estimation (DESIGN.md substitution for the
-    * paper's precomputed per-dataset bounds): d_max via the pivot upper
-    * bound `2·max_x d(x, x₀)` computed as a Spark aggregate, d_min via the
-    * exact minimum pairwise distance over a deterministic sample (halved for
-    * safety margin).
-    */
-  def estimateBounds(df: DataFrame, metric: Metric, sampleSize: Int = 1500): DistanceBounds = {
-    val ds = toDS(df)
-    val pivot = ds.head().features
-    val distToPivot = udf((f: Seq[Double]) => metric.dist(pivot, f.toArray))
-    val far = df.select(max(distToPivot(col("features")))).head.getDouble(0)
-    val dmax = math.max(2 * far, Double.MinPositiveValue)
-    val n = df.count()
-    val frac = math.min(1.0, sampleSize.toDouble / math.max(1L, n))
-    val sample = ds.sample(withReplacement = false, frac, seed = 7).collect().map(_.toElement)
-    var mn = Double.PositiveInfinity
-    var i = 0
-    while (i < sample.length) {
-      var j = i + 1
-      while (j < sample.length) {
-        val d = metric.dist(sample(i), sample(j))
-        if (d > 0 && d < mn) mn = d
-        j += 1
-      }
-      i += 1
-    }
-    if (!mn.isFinite) mn = dmax / 1e6
-    DistanceBounds(math.min(mn / 2, dmax), dmax)
-  }
 
   /** Faithful one-pass streaming run on the driver: elements cross in
     * partition order through `toLocalIterator`, memory stays bounded by the
@@ -97,42 +64,5 @@ object SparkFDM {
     val merged = coreset.map(_.toElement).distinct.sortBy(_.id)
     merged.foreach(finalState.process)
     finalState.finish()
-  }
-
-  /** GMM (farthest-point traversal) as an iterative DataFrame computation:
-    * one aggregation job per center over a cached running min-distance
-    * column. Oracle-tested against the local `baseline.GMM`.
-    */
-  def gmmSpark(df: DataFrame, k: Int, metric: Metric): Vector[Element] = {
-    require(k >= 1)
-    var cur = df.select(col("id").cast("long") as "id", col("group").cast("int") as "group", col("features"))
-      .withColumn("dist", lit(Double.PositiveInfinity))
-      .cache()
-    cur.count()
-    // Deterministic start: the minimum-id element.
-    val startRow = cur.orderBy(asc("id")).head
-    var center = Element(startRow.getLong(0), startRow.getInt(1), startRow.getSeq[Double](2).toArray)
-    val centers = Vector.newBuilder[Element]
-    centers += center
-    val pickedIds = scala.collection.mutable.Set(center.id)
-    var step = 1
-    while (step < k) {
-      val cf = center.features
-      val dTo = udf((f: Seq[Double]) => metric.dist(cf, f.toArray))
-      val next = cur
-        .withColumn("dist", least(col("dist"), dTo(col("features"))))
-        .cache()
-      next.count()
-      cur.unpersist()
-      cur = next
-      val far = cur.filter(!col("id").isInCollection(pickedIds))
-        .orderBy(desc("dist"), asc("id")).head
-      center = Element(far.getLong(0), far.getInt(1), far.getSeq[Double](2).toArray)
-      centers += center
-      pickedIds += center.id
-      step += 1
-    }
-    cur.unpersist()
-    centers.result()
   }
 }

@@ -73,6 +73,8 @@ class GuessLadderSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](DistanceBounds(2.0, 1.0))
     val same = IndexedSeq(Element(0, 0, Array(1.0)), Element(1, 0, Array(1.0)))
     intercept[IllegalArgumentException](DistanceBounds.exact(same, Euclidean))
+    val e = intercept[IllegalArgumentException](DistanceBounds.estimate(same, Euclidean))
+    assert(e.getMessage.contains("all points coincide"), e.getMessage)
   }
 
   test("delta = dmax/dmin") {

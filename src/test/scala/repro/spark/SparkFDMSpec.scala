@@ -2,11 +2,10 @@ package repro.spark
 
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestGen}
-import repro.baseline.GMM
 import repro.core._
 
-/** Spark dataflow layer: conversions, distributed bounds, sequential vs
-  * distributed execution, and the DataFrame GMM.
+/** Spark dataflow layer: conversions, and sequential vs distributed
+  * execution.
   */
 class SparkFDMSpec extends SparkSpec {
 
@@ -21,14 +20,6 @@ class SparkFDMSpec extends SparkSpec {
     assert(back.map(_.id) == xs.map(_.id))
     assert(back.map(_.group) == xs.map(_.group))
     assert(back.zip(xs).forall { case (a, b) => a.features.sameElements(b.features) })
-  }
-
-  test("estimateBounds brackets the exact bounds (Spark aggregate path)") {
-    val xs = TestGen.randomElements(200, 2, 3, 2)
-    val exact = DistanceBounds.exact(xs, Euclidean)
-    val est = SparkFDM.estimateBounds(toDF(xs), Euclidean)
-    assert(est.dmax >= exact.dmax - 1e-9)
-    assert(est.dmin <= exact.dmin + 1e-9)
   }
 
   test("runSequential(SFDM1) over a single-partition DataFrame equals a local one-pass run") {
@@ -66,24 +57,5 @@ class SparkFDMSpec extends SparkSpec {
     val mk = () => new SFDM1(3, 3, 0.1, bounds, Euclidean)
     val res = SparkFDM.runDistributed(toDF(xs).repartition(6), mk, mk())
     assert(res.groupCounts == Map(0 -> 3, 1 -> 3))
-  }
-
-  test("gmmSpark equals the local GMM (same deterministic start)") {
-    val xs = TestGen.randomElements(80, 1, 3, 6)
-    val viaSpark = SparkFDM.gmmSpark(toDF(xs), 5, Euclidean)
-    val local = GMM.run(xs.sortBy(_.id), 5, Euclidean, startIdx = 0)
-    assert(viaSpark.map(_.id) == local.map(_.id))
-  }
-
-  test("gmmSpark achieves the 1/2-approximation on a small instance") {
-    val xs = TestGen.randomElements(14, 1, 2, 8)
-    val opt = Diversity.bruteForceOpt(xs, 4, Euclidean)
-    val sol = SparkFDM.gmmSpark(toDF(xs), 4, Euclidean)
-    assert(Diversity.div(sol, Euclidean) >= opt / 2 - 1e-9)
-  }
-
-  test("gmmSpark k=1 returns the min-id element") {
-    val xs = TestGen.randomElements(10, 1, 2, 12)
-    assert(SparkFDM.gmmSpark(toDF(xs), 1, Euclidean).map(_.id) == Vector(0L))
   }
 }
