@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** One per-guess candidate set `S_µ`: a bounded, insert-only µ-separated set.
   *
   * An element is admitted iff the candidate is below capacity and its distance
@@ -9,26 +7,35 @@ import scala.collection.mutable.ArrayBuffer
   * invariant `div(S_µ) ≥ µ` therefore holds at all times, which Theorem 1 and
   * Lemmas 1–4 rely on.
   *
-  * @param cap    capacity (k for group-blind and SFDM2 group candidates,
-  *               k_i for SFDM1 group candidates)
-  * @param mu     separation threshold, one guess of OPT
-  * @param metric distance metric
+  * The candidate stores the [[DistanceMemo]] slots of its elements and reads
+  * distances through the memo, which the candidates of one bank share.
+  *
+  * @param cap  capacity (k for group-blind and SFDM2 group candidates,
+  *             k_i for SFDM1 group candidates)
+  * @param mu   separation threshold, one guess of OPT
+  * @param memo distance cache and slot owner
   */
-final class Candidate(val cap: Int, val mu: Double, metric: Metric) extends Serializable {
-  private val buf = new ArrayBuffer[Element](math.min(cap, 64))
+final class Candidate(val cap: Int, val mu: Double, memo: DistanceMemo) extends Serializable {
 
-  /** Stored elements in insertion order (read-only view). */
-  def elements: IndexedSeq[Element] = buf.toIndexedSeq
+  /** A stand-alone candidate with a memo of its own. */
+  def this(cap: Int, mu: Double, metric: Metric) = this(cap, mu, new DistanceMemo(metric))
 
-  def size: Int = buf.length
-  def isFull: Boolean = buf.length >= cap
+  private var slots = new Array[Int](math.min(cap, 64))
+  private var n = 0
+
+  /** Stored elements in insertion order (a fresh copy). */
+  def elements: IndexedSeq[Element] = IndexedSeq.tabulate(n)(i => memo.element(slots(i)))
+
+  def size: Int = n
+  def isFull: Boolean = n >= cap
 
   /** `d(x, S_µ)`; +∞ when empty so the first element is always admitted. */
   def distTo(x: Element): Double = {
+    memo.arrive(x)
     var best = Double.PositiveInfinity
     var i = 0
-    while (i < buf.length) {
-      val d = metric.dist(x, buf(i))
+    while (i < n) {
+      val d = memo.dist(slots(i))
       if (d < best) {
         best = d
         if (best < mu) return best // early exit: rejection already decided
@@ -41,7 +48,11 @@ final class Candidate(val cap: Int, val mu: Double, metric: Metric) extends Seri
   /** Attempt one streaming insertion; returns true iff x was stored. */
   def tryAdd(x: Element): Boolean = {
     if (isFull) false
-    else if (distTo(x) >= mu) { buf += x; true }
-    else false
+    else if (distTo(x) >= mu) {
+      if (n == slots.length) slots = java.util.Arrays.copyOf(slots, math.min(cap, 2 * n))
+      slots(n) = memo.admit()
+      n += 1
+      true
+    } else false
   }
 }

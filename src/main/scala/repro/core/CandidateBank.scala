@@ -23,10 +23,12 @@ abstract class CandidateBank(
 
   /** Ascending guesses for OPT. */
   val guesses: Array[Double] = GuessLadder(bounds.dmin, bounds.dmax, eps)
-  protected val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, metric))
+  // One memo for every candidate: an arrival meets each stored element once.
+  protected val memo = new DistanceMemo(metric)
+  protected val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, memo))
   // grp(i)(j): candidate for group i at guess j.
   protected val grp: Array[Array[Candidate]] =
-    groupCaps.map(cap => guesses.map(mu => new Candidate(cap, mu, metric))).toArray
+    groupCaps.map(cap => guesses.map(mu => new Candidate(cap, mu, memo))).toArray
 
   private var streamNs = 0L
 
@@ -69,13 +71,17 @@ abstract class CandidateBank(
     quotas.indices.flatMap(i => grp(i)(j).elements.take(quotas(i))).toVector
   }
 
-  /** The algorithm's solution, built from the candidates. */
-  protected def postProcess(): Vector[Element]
+  /** The algorithm's solution, built from the candidates; every distance it
+    * needs comes from `dist`.
+    */
+  protected def postProcess(dist: PairTable): Vector[Element]
 
+  /** Post-processing and the reported `div(solution)` share one pair table. */
   final override def finish(): FdmResult = {
     val t0 = System.nanoTime()
-    val sol = postProcess()
+    val dist = new PairTable(memo)
+    val sol = postProcess(dist)
     val post = System.nanoTime() - t0
-    FdmResult(sol, Diversity.div(sol, metric), storedElementCount, streamNs, post)
+    FdmResult(sol, Diversity.div(sol, dist), storedElementCount, streamNs, post, memo.evals, dist.evals)
   }
 }

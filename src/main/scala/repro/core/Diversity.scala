@@ -7,14 +7,14 @@ object Diversity {
     * meaningful for k ≥ 2, matching the paper's convention that `div` is
     * monotonically non-increasing under insertion).
     */
-  def div(s: Seq[Element], metric: Metric): Double = {
+  def div(s: Seq[Element], dist: Distance): Double = {
     if (s.length < 2) return Double.PositiveInfinity
     var best = Double.PositiveInfinity
     var i = 0
     while (i < s.length) {
       var j = i + 1
       while (j < s.length) {
-        val d = metric.dist(s(i), s(j))
+        val d = dist(s(i), s(j))
         if (d < best) best = d
         j += 1
       }
@@ -24,11 +24,11 @@ object Diversity {
   }
 
   /** `d(x, S) = min_{y ∈ S} d(x,y)`; +∞ for empty S. */
-  def distToSet(x: Element, s: Iterable[Element], metric: Metric): Double = {
+  def distToSet(x: Element, s: Iterable[Element], dist: Distance): Double = {
     var best = Double.PositiveInfinity
     val it = s.iterator
     while (it.hasNext) {
-      val d = metric.dist(x, it.next())
+      val d = dist(x, it.next())
       if (d < best) best = d
     }
     best

@@ -9,6 +9,9 @@ package repro.core
   *                       memory (the paper's "#elem" column in Table II)
   * @param streamNanos    wall time of the one-pass stream-processing phase
   * @param postNanos      wall time of the post-processing phase
+  * @param streamEvals    metric evaluations of the stream phase
+  * @param postEvals      metric evaluations of post-processing, including
+  *                       the reported diversity
   */
 final case class FdmResult(
     solution: Vector[Element],
@@ -16,6 +19,8 @@ final case class FdmResult(
     storedElements: Int,
     streamNanos: Long,
     postNanos: Long,
+    streamEvals: Long = 0L,
+    postEvals: Long = 0L,
 ) {
   def totalNanos: Long = streamNanos + postNanos
   def totalSeconds: Double = totalNanos / 1e9

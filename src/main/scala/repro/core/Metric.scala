@@ -1,18 +1,32 @@
 package repro.core
 
+/** The distance between two elements, as the diversity objective and the
+  * post-processing routines read it: a [[Metric]], or a [[PairTable]] that
+  * serves a metric's values for the stored elements from a cache.
+  */
+trait Distance {
+  def apply(a: Element, b: Element): Double
+}
+
 /** A distance metric on feature vectors: nonnegative, symmetric, and
   * satisfying the triangle inequality (all three are property-tested).
+  *
+  * Symmetry holds bit for bit: `dist(a, b)` and `dist(b, a)` are the same
+  * double, NaN included. [[PairTable]] stores one triangle of the pair
+  * distances and relies on this.
   *
   * The paper's experiments use Euclidean (Adult, Synthetic), Manhattan
   * (CelebA, Census), and Angular (Lyrics); every algorithm here is generic
   * over this trait, as in the paper.
   */
-sealed trait Metric extends Serializable {
+sealed trait Metric extends Distance with Serializable {
   /** Distance between two feature vectors of equal length. */
   def dist(a: Array[Double], b: Array[Double]): Double
 
   /** Distance between two elements. */
   @inline final def dist(a: Element, b: Element): Double = dist(a.features, b.features)
+
+  final override def apply(a: Element, b: Element): Double = dist(a.features, b.features)
 
   /** Short display name for tables and logs. */
   def name: String

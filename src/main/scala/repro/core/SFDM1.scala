@@ -24,11 +24,11 @@ final class SFDM1(
   require(k1 >= 1 && k2 >= 1, s"group quotas must be ≥ 1, got ($k1, $k2)")
   private val ks = IndexedSeq(k1, k2)
 
-  override protected def postProcess(): Vector[Element] = {
+  override protected def postProcess(dist: PairTable): Vector[Element] = {
     val uPrime = eligible(ks)
     if (uPrime.isEmpty) fallback(ks)
-    else uPrime.map(j => SFDM1.balance(blind(j).elements, ks.indices.flatMap(grp(_)(j).elements), ks, metric))
-      .maxBy(Diversity.div(_, metric))
+    else uPrime.map(j => SFDM1.balance(blind(j).elements, ks.indices.flatMap(grp(_)(j).elements), ks, dist))
+      .maxBy(Diversity.div(_, dist))
   }
 }
 
@@ -41,7 +41,7 @@ object SFDM1 {
     * the smaller id), then delete the other group's elements closest to
     * group `iu`'s until `|s| = Σ ks`. A balanced `s` is returned unchanged.
     */
-  def balance(s0: Seq[Element], pool: Seq[Element], ks: IndexedSeq[Int], metric: Metric): Vector[Element] = {
+  def balance(s0: Seq[Element], pool: Seq[Element], ks: IndexedSeq[Int], dist: Distance): Vector[Element] = {
     val s = mutable.ArrayBuffer.from(s0)
     ks.indices.find(i => s.count(_.group == i) < ks(i)) match {
       case None => s.toVector
@@ -49,13 +49,13 @@ object SFDM1 {
         val poolLeft = mutable.ArrayBuffer.from(pool.filter(e => e.group == iu && !s.exists(_.id == e.id)))
         while (s.count(_.group == iu) < ks(iu)) {
           val inGroup = s.filter(_.group == iu)
-          val pick = poolLeft.maxBy(x => (Diversity.distToSet(x, inGroup, metric), -x.id))
+          val pick = poolLeft.maxBy(x => (Diversity.distToSet(x, inGroup, dist), -x.id))
           s += pick
           poolLeft -= pick
         }
         val inGroupU = s.filter(_.group == iu)
         while (s.length > ks.sum) {
-          val victim = s.filter(_.group != iu).minBy(x => (Diversity.distToSet(x, inGroupU, metric), x.id))
+          val victim = s.filter(_.group != iu).minBy(x => (Diversity.distToSet(x, inGroupU, dist), x.id))
           s -= victim
         }
         s.toVector

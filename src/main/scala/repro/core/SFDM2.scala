@@ -29,19 +29,23 @@ final class SFDM2(
   require(ks.nonEmpty && ks.forall(_ >= 1), s"group quotas must all be ≥ 1, got $ks")
   val m: Int = ks.length
 
-  /** Single-linkage clustering of `sAll` at threshold µ/(m+1) (Lines 13–16)
-    * via union-find. Returns a cluster id per element id.
+  /** Single-linkage clustering of the stored elements `sAll` at threshold
+    * µ/(m+1) (Lines 13–16) via union-find, reading `dist` by slot (by default
+    * a fresh table over the slots handed out so far). Returns a cluster id
+    * per element id.
     */
-  private[core] def clusterIds(sAll: IndexedSeq[Element], mu: Double): Map[Long, Int] = {
+  private[core] def clusterIds(sAll: IndexedSeq[Element], mu: Double, dist: PairTable = new PairTable(memo)): Map[Long, Int] = {
     val thr = mu / (m + 1)
-    val parent = Array.tabulate(sAll.length)(identity)
+    val n = sAll.length
+    val slot = Array.tabulate(n)(i => dist.slotOf(sAll(i)))
+    val parent = Array.tabulate(n)(identity)
     def find(a: Int): Int = { var r = a; while (parent(r) != r) r = parent(r); var c = a; while (parent(c) != c) { val nx = parent(c); parent(c) = r; c = nx }; r }
     def union(a: Int, b: Int): Unit = { val ra = find(a); val rb = find(b); if (ra != rb) parent(rb) = ra }
     var i = 0
-    while (i < sAll.length) {
+    while (i < n) {
       var j = i + 1
-      while (j < sAll.length) {
-        if (metric.dist(sAll(i), sAll(j)) < thr) union(i, j)
+      while (j < n) {
+        if (dist.at(slot(i), slot(j)) < thr) union(i, j)
         j += 1
       }
       i += 1
@@ -52,7 +56,7 @@ final class SFDM2(
   /** Post-process one guess: initial partial solution, clusters, matroid
     * intersection (Lines 11–18). Returns the augmented set (fair iff size k).
     */
-  private def solveGuess(j: Int): Vector[Element] = {
+  private def solveGuess(j: Int, dist: PairTable): Vector[Element] = {
     val mu = guesses(j)
     // Line 11: from each group keep min(k_i, count) elements of S_µ (arbitrary
     // choice allowed — insertion order kept for determinism).
@@ -64,7 +68,7 @@ final class SFDM2(
     // candidates come first: Algorithm 4 walks the ground set in this order.
     val sAll = distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j)))
     // Lines 13–16: clusters.
-    val cid = clusterIds(sAll, mu)
+    val cid = clusterIds(sAll, mu, dist)
     // Line 17: M1 = fairness partition matroid, M2 = cluster partition matroid.
     val groupOf = sAll.map(e => e.id -> e.group).toMap
     val m1 = new PartitionMatroid(sAll, id => groupOf(id), i => ks(i))
@@ -75,12 +79,12 @@ final class SFDM2(
     val usedCluster = mutable.Set.empty[Int]
     sPrime.foreach { e => if (usedCluster.add(cid(e.id))) s0 += e }
     // Line 18 / Algorithm 4.
-    MatroidIntersection.augmentToMax(m1, m2, metric, s0.toVector)
+    MatroidIntersection.augmentToMax(m1, m2, dist, s0.toVector)
   }
 
-  override protected def postProcess(): Vector[Element] = {
-    val fairSets = eligible(ks).map(solveGuess).filter(_.size == k)
-    if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, metric))
+  override protected def postProcess(dist: PairTable): Vector[Element] = {
+    val fairSets = eligible(ks).map(solveGuess(_, dist)).filter(_.size == k)
+    if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, dist))
     else fallback(ks)
   }
 }

@@ -26,10 +26,10 @@ final class StreamingDM(
     * data admits), falls back to the largest candidate — best effort, flagged
     * by `solution.size < k`.
     */
-  override protected def postProcess(): Vector[Element] = {
+  override protected def postProcess(dist: PairTable): Vector[Element] = {
     val full = eligible(IndexedSeq.empty).map(blind)
     val pick =
-      if (full.nonEmpty) full.maxBy(c => Diversity.div(c.elements, metric))
+      if (full.nonEmpty) full.maxBy(c => Diversity.div(c.elements, dist))
       else blind.maxBy(_.size)
     pick.elements.toVector
   }

@@ -1,6 +1,6 @@
 package repro.matroid
 
-import repro.core.{Diversity, Element, Metric}
+import repro.core.{Diversity, Distance, Element}
 import scala.collection.mutable
 
 /** Algorithm 4 — matroid intersection à la Cunningham [18], adapted as in the
@@ -20,10 +20,10 @@ object MatroidIntersection {
     *
     * @param m1     first matroid (fairness), over ground set V
     * @param m2     second matroid (clusters), over the same V
-    * @param metric used only for the greedy farthest-first ordering
+    * @param dist   used only for the greedy farthest-first ordering
     * @param s0     initial common independent set
     */
-  def augmentToMax(m1: Matroid, m2: Matroid, metric: Metric, s0: Seq[Element]): Vector[Element] = {
+  def augmentToMax(m1: Matroid, m2: Matroid, dist: Distance, s0: Seq[Element]): Vector[Element] = {
     val ground: IndexedSeq[Element] = m1.ground
     val byId: Map[Long, Element] = ground.map(e => e.id -> e).toMap
     val inS = mutable.LinkedHashSet.from(s0.map(_.id))
@@ -34,7 +34,7 @@ object MatroidIntersection {
     var v12 = ground.filter(e => !inS.contains(e.id) && m1.canAdd(inS, e) && m2.canAdd(inS, e))
     while (v12.nonEmpty) {
       val cur = sElems
-      val pick = v12.maxBy(x => (Diversity.distToSet(x, cur, metric), -x.id))
+      val pick = v12.maxBy(x => (Diversity.distToSet(x, cur, dist), -x.id))
       inS += pick.id
       v12 = v12.filter(e => e.id != pick.id && m1.canAdd(inS, e) && m2.canAdd(inS, e))
     }

@@ -79,7 +79,7 @@ class DiversitySpec extends SparkSpec {
         |FROM pts a, pts b WHERE CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)""".stripMargin
     val sparkDf = spark.sql(sql)
     Oracle.assertEquivalent(sparkDf, sql, "pts" -> df)
-    val viaSql = sparkDf.head.getDouble(0)
+    val viaSql = sparkDf.head().getDouble(0)
     assert(math.abs(viaSql - Diversity.div(xs, Euclidean)) < 1e-9)
   }
 
@@ -93,7 +93,7 @@ class DiversitySpec extends SparkSpec {
         |FROM ptsm a, ptsm b WHERE CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)""".stripMargin
     val sparkDf = spark.sql(sql)
     Oracle.assertEquivalent(sparkDf, sql, "ptsm" -> df)
-    val viaSql = sparkDf.head.getDouble(0)
+    val viaSql = sparkDf.head().getDouble(0)
     assert(math.abs(viaSql - Diversity.div(xs, Manhattan)) < 1e-9)
   }
 }

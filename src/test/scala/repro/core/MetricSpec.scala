@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.Prop
+import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
 
 /** Metric-space axioms and known values for all three metrics. */
@@ -35,6 +35,16 @@ class MetricSpec extends AnyFunSuite with PropSupport {
       checkProp(Prop.forAll(vecGen(), vecGen()) { (a0, b0) =>
         val (a, b) = pair(a0, b0)
         math.abs(metric.dist(a, b) - metric.dist(b, a)) <= 1e-9
+      })
+    }
+
+    test(s"${metric.name}: bitwise symmetry — d(a,b) and d(b,a) are the same double") {
+      // Padding with zeros (not pair()) keeps zero vectors, Angular's π/2 case.
+      checkProp(Prop.forAll(vecGen(), vecGen(), Gen.oneOf(false, true)) { (a0, b0, zero) =>
+        val d = math.max(a0.length, b0.length)
+        val a = if (zero) Array.fill(d)(0.0) else a0.padTo(d, 0.0)
+        val b = b0.padTo(d, 0.0)
+        java.lang.Double.compare(metric.dist(a, b), metric.dist(b, a)) == 0
       })
     }
 

@@ -44,4 +44,21 @@ class SolutionIdsSpec extends AnyFunSuite {
     val wrong = got.result().filterNot { case (name, actual) => expected.get(name).contains(actual) }
     assert(wrong.isEmpty, wrong.map { case (name, a) => s""""$name" -> Seq(${a.mkString(", ")}),""" }.mkString("\n", "\n", ""))
   }
+
+  private val nonEuclidean: Map[String, Seq[Long]] = Map(
+    "StreamingDM/Angular" -> Seq(0, 1, 6, 8, 14, 15, 135),
+    "SFDM2/Angular" -> Seq(0, 1, 8, 14, 15, 33, 135),
+    "SFDM1/Manhattan" -> Seq(0, 1, 3, 5, 6, 7, 9),
+  )
+
+  test("StreamingDM and SFDM2 under Angular and SFDM1 under Manhattan select the pinned ids") {
+    val angular = DistanceBounds.estimate(xs3, Angular)
+    val got = Seq(
+      "StreamingDM/Angular" -> ids(new StreamingDM(7, 0.1, angular, Angular), xs3),
+      "SFDM2/Angular" -> ids(new SFDM2(IndexedSeq(1, 2, 4), 0.1, angular, Angular), xs3),
+      "SFDM1/Manhattan" -> ids(new SFDM1(2, 5, 0.1, DistanceBounds.estimate(xs2, Manhattan), Manhattan), xs2),
+    )
+    val wrong = got.filterNot { case (name, actual) => nonEuclidean.get(name).contains(actual) }
+    assert(wrong.isEmpty, wrong.map { case (name, a) => s""""$name" -> Seq(${a.mkString(", ")}),""" }.mkString("\n", "\n", ""))
+  }
 }

@@ -57,7 +57,7 @@ class DatasetsSpec extends SparkSpec {
     // Uniform assignment: each group within ±40% of n/m.
     counts.values.foreach(c => assert(math.abs(c - n / 5.0) < n / 5.0 * 0.4))
     // Blob structure: the spread is much wider than unit noise.
-    val spread = d.df.select(max(element_at(col("features"), 1)) - min(element_at(col("features"), 1))).head.getDouble(0)
+    val spread = d.df.select(max(element_at(col("features"), 1)) - min(element_at(col("features"), 1))).head().getDouble(0)
     assert(spread > 5.0)
   }
 
@@ -121,7 +121,7 @@ class DatasetsSpec extends SparkSpec {
       Datasets.blobs(spark, 100000, 20),
     )
     benchScale.foreach { d =>
-      val minCount = d.df.groupBy("group").count().agg(min("count")).head.getLong(0)
+      val minCount = d.df.groupBy("group").count().agg(min("count")).head().getLong(0)
       val quota = math.ceil(20.0 / d.m).toInt
       assert(minCount >= quota, s"${d.name}/${d.groupLabel}: smallest group $minCount < quota $quota")
     }
