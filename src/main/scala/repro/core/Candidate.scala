@@ -17,9 +17,6 @@ package repro.core
   */
 final class Candidate(val cap: Int, val mu: Double, memo: DistanceMemo) extends Serializable {
 
-  /** A stand-alone candidate with a memo of its own. */
-  def this(cap: Int, mu: Double, metric: Metric) = this(cap, mu, new DistanceMemo(metric))
-
   private var slots = new Array[Int](math.min(cap, 64))
   private var n = 0
 

@@ -24,7 +24,7 @@ abstract class CandidateBank(
   /** Ascending guesses for OPT. */
   val guesses: Array[Double] = GuessLadder(bounds.dmin, bounds.dmax, eps)
   // One memo for every candidate: an arrival meets each stored element once.
-  protected val memo = new DistanceMemo(metric)
+  protected[core] val memo = new DistanceMemo(metric)
   protected val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, memo))
   // grp(i)(j): candidate for group i at guess j.
   protected val grp: Array[Array[Candidate]] =

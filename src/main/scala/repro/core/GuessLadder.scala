@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 /** The geometric guess ladder `U = { d_min/(1-ε)^j : j ≥ 0 } ∩ [d_min, d_max]`
   * used by Algorithms 1–3 to guess OPT within relative error 1-ε, plus the
   * distance-bound estimation the paper leaves implicit.
@@ -70,33 +72,39 @@ object DistanceBounds {
 
   /** Estimated bounds: pivot-based d_max upper bound and sampled d_min with a
     * /2 safety margin (see class doc). Deterministic in the input order.
+    *
+    * Both scans run on the JVM's common fork-join pool. Each part keeps the
+    * sequential loop's test (`d > far`, `d > 0 && d < mn`) and the parts are
+    * combined with the same test. A maximum or a minimum of the values that
+    * pass it does not depend on the order they are met in, and NaN never
+    * passes, so the result is the sequential scan's, bit for bit.
     */
   def estimate(xs: IndexedSeq[Element], metric: Metric, sampleSize: Int = 1500): DistanceBounds = {
     require(xs.length >= 2, "need at least two elements")
     val pivot = xs.head
-    var far = 0.0
-    var i = 1
-    while (i < xs.length) {
-      val d = metric.dist(pivot, xs(i))
-      if (d > far) far = d
-      i += 1
-    }
+    val far = IntStream.range(1, xs.length).parallel()
+      .mapToDouble(i => metric.dist(pivot, xs(i)))
+      .reduce(0.0, (far, d) => if (d > far) d else far)
     require(far > 0, "degenerate dataset: all points coincide")
     val dmax = 2 * far
     // Deterministic stride sample.
     val stride = math.max(1, xs.length / sampleSize)
-    val sample = xs.indices.by(stride).map(xs).toIndexedSeq
-    var mn = Double.PositiveInfinity
-    i = 0
-    while (i < sample.length) {
+    val sample = Array.tabulate((xs.length + stride - 1) / stride)(i => xs(i * stride))
+    val s = sample.length
+    def rowMin(i: Int, mn0: Double): Double = {
+      var mn = mn0
       var j = i + 1
-      while (j < sample.length) {
+      while (j < s) {
         val d = metric.dist(sample(i), sample(j))
         if (d > 0 && d < mn) mn = d
         j += 1
       }
-      i += 1
+      mn
     }
+    // Row i holds s-1-i pairs; task t takes rows t and s-2-t, s pairs in all.
+    var mn = IntStream.range(0, s / 2).parallel()
+      .mapToDouble(t => if (s - 2 - t == t) rowMin(t, Double.PositiveInfinity) else rowMin(s - 2 - t, rowMin(t, Double.PositiveInfinity)))
+      .reduce(Double.PositiveInfinity, (mn, d) => if (d > 0 && d < mn) d else mn)
     if (!mn.isFinite) mn = dmax / 1e6 // all sampled points coincide; fall back to a wide ladder
     DistanceBounds(math.min(mn / 2, dmax), math.max(dmax, mn / 2))
   }

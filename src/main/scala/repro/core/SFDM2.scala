@@ -30,11 +30,10 @@ final class SFDM2(
   val m: Int = ks.length
 
   /** Single-linkage clustering of the stored elements `sAll` at threshold
-    * µ/(m+1) (Lines 13–16) via union-find, reading `dist` by slot (by default
-    * a fresh table over the slots handed out so far). Returns a cluster id
-    * per element id.
+    * µ/(m+1) (Lines 13–16) via union-find, reading `dist` by slot. Returns a
+    * cluster id for each position of `sAll`.
     */
-  private[core] def clusterIds(sAll: IndexedSeq[Element], mu: Double, dist: PairTable = new PairTable(memo)): Map[Long, Int] = {
+  private[core] def clusterIds(sAll: IndexedSeq[Element], mu: Double, dist: PairTable): Array[Int] = {
     val thr = mu / (m + 1)
     val n = sAll.length
     val slot = Array.tabulate(n)(i => dist.slotOf(sAll(i)))
@@ -50,7 +49,7 @@ final class SFDM2(
       }
       i += 1
     }
-    sAll.indices.map(i => sAll(i).id -> find(i)).toMap
+    Array.tabulate(n)(find)
   }
 
   /** Post-process one guess: initial partial solution, clusters, matroid
@@ -63,23 +62,21 @@ final class SFDM2(
     val byGroup = blind(j).elements.groupBy(_.group)
     val sPrime = (0 until m).flatMap { i =>
       byGroup.getOrElse(i, IndexedSeq.empty).take(ks(i))
-    }.toVector
+    }
     // Line 12: S_all = all candidates at this guess, dedup by id. Group
     // candidates come first: Algorithm 4 walks the ground set in this order.
     val sAll = distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j)))
     // Lines 13–16: clusters.
-    val cid = clusterIds(sAll, mu, dist)
+    val cluster = clusterIds(sAll, mu, dist)
     // Line 17: M1 = fairness partition matroid, M2 = cluster partition matroid.
-    val groupOf = sAll.map(e => e.id -> e.group).toMap
-    val m1 = new PartitionMatroid(sAll, id => groupOf(id), i => ks(i))
-    val m2 = new PartitionMatroid(sAll, id => cid(id), _ => 1)
+    val m1 = new PartitionMatroid(sAll, sAll.iterator.map(_.group).toArray, ks)
+    val m2 = new PartitionMatroid(sAll, cluster, _ => 1)
     // Defensive: Lemma 3(ii) guarantees S'_µ ∈ I₂; enforce it anyway so a
     // pathological guess can never crash the augmentation.
-    val s0 = mutable.ArrayBuffer.empty[Element]
     val usedCluster = mutable.Set.empty[Int]
-    sPrime.foreach { e => if (usedCluster.add(cid(e.id))) s0 += e }
+    val s0 = sPrime.filter(e => usedCluster.add(cluster(m1.positionOf(e.id))))
     // Line 18 / Algorithm 4.
-    MatroidIntersection.augmentToMax(m1, m2, dist, s0.toVector)
+    MatroidIntersection.augmentToMax(m1, m2, dist, s0)
   }
 
   override protected def postProcess(dist: PairTable): Vector[Element] = {

@@ -1,11 +1,13 @@
 package repro.matroid
 
 import repro.core.Element
+import scala.collection.mutable
 
-/** A matroid `M = (V, I)` over stream elements, exposed through the two
-  * predicates the intersection algorithm needs. Implementations must satisfy
-  * the matroid axioms (property-tested in `MatroidSpec`):
-  * hereditary, and the augmentation property.
+/** A matroid `M = (V, I)` over stream elements, exposed through id-based
+  * independence predicates (tests and brute-force checks use them; Algorithm 4
+  * reads [[PartitionMatroid]]'s arrays). Implementations must satisfy the
+  * matroid axioms (property-tested in `MatroidSpec`): hereditary, and the
+  * augmentation property.
   */
 trait Matroid extends Serializable {
   /** Ground set. */
@@ -30,36 +32,73 @@ trait Matroid extends Serializable {
   * Both matroids of SFDM2 are instances: M₁ partitions by group with caps
   * k_i; M₂ partitions by cluster with caps 1.
   *
-  * @param ground ground set
-  * @param part   part index of each element (by element id)
-  * @param cap    capacity of each part index
+  * The parts are renumbered densely once, at construction, and everything is
+  * kept by ground position, so [[MatroidIntersection]] runs on plain arrays.
+  * The id-based predicates of [[Matroid]] accept elements of the ground set.
+  *
+  * @param ground ground set; element ids must be distinct
+  * @param part   part label of each ground element, by position
+  * @param cap    capacity of each part label
   */
-final class PartitionMatroid(
-    val ground: IndexedSeq[Element],
-    part: Long => Int,
-    cap: Int => Int,
-) extends Matroid {
+final class PartitionMatroid(val ground: IndexedSeq[Element], part: Array[Int], cap: Int => Int) extends Matroid {
+  require(part.length == ground.length, s"${part.length} part labels for ${ground.length} ground elements")
 
-  private def countInPart(s: collection.Set[Long], p: Int): Int = {
-    var c = 0
-    val it = s.iterator
-    while (it.hasNext) if (part(it.next()) == p) c += 1
-    c
+  /** Parts given by element id. */
+  def this(ground: IndexedSeq[Element], part: Long => Int, cap: Int => Int) =
+    this(ground, Array.tabulate(ground.length)(i => part(ground(i).id)), cap)
+
+  private val n = ground.length
+  // Positions sorted by (label, position): each part is one run of `members`,
+  // in ground order.
+  private[matroid] val members: Array[Int] = {
+    val key = Array.tabulate(n)(i => (part(i).toLong << 32) | i)
+    java.util.Arrays.sort(key)
+    key.map(_.toInt)
   }
+  /** Dense part index of each ground position. */
+  private[matroid] val partAt = new Array[Int](n)
+  /** `members(start(p) until start(p + 1))` are the positions of dense part p. */
+  private[matroid] val start: Array[Int] = {
+    val b = mutable.ArrayBuilder.make[Int]
+    var p = -1
+    var t = 0
+    while (t < n) {
+      if (t == 0 || part(members(t)) != part(members(t - 1))) { p += 1; b += t }
+      partAt(members(t)) = p
+      t += 1
+    }
+    b += n
+    b.result()
+  }
+  /** Number of parts with at least one ground element. */
+  private[matroid] val parts: Int = start.length - 1
+  /** Capacity of each dense part; a negative capacity acts as 0. */
+  private[matroid] val capOf: Array[Int] = Array.tabulate(parts)(p => math.max(0, cap(part(members(start(p))))))
+
+  /** The rank `Σ_p min(cap(p), |V ∩ p|)`: no independent set is larger. */
+  val rank: Int = (0 until parts).map(p => math.min(capOf(p), start(p + 1) - start(p))).sum
+
+  private lazy val positionById: mutable.LongMap[Int] = {
+    val m = mutable.LongMap.empty[Int]
+    var i = 0
+    while (i < n) { m(ground(i).id) = i; i += 1 }
+    require(m.size == n, "ground element ids must be distinct")
+    m
+  }
+
+  /** Ground position of an element id. */
+  def positionOf(id: Long): Int = positionById(id)
+
+  private def partOf(id: Long): Int = partAt(positionOf(id))
 
   override def canAdd(s: collection.Set[Long], x: Element): Boolean = {
-    val p = part(x.id)
-    countInPart(s, p) < cap(p)
+    val p = partOf(x.id)
+    s.count(partOf(_) == p) < capOf(p)
   }
 
-  override def canSwap(s: collection.Set[Long], x: Element, y: Element): Boolean = {
-    // S+x violates only part(x)'s cap; removing y fixes it iff y shares the part.
-    part(y.id) == part(x.id)
-  }
+  // S+x violates only part(x)'s cap; removing y fixes it iff y shares the part.
+  override def canSwap(s: collection.Set[Long], x: Element, y: Element): Boolean = partOf(y.id) == partOf(x.id)
 
   override def isIndependent(s: Seq[Element]): Boolean =
-    s.groupBy(e => part(e.id)).forall { case (p, es) => es.size <= cap(p) }
-
-  /** Part index of an element id (exposed for the augmentation graph). */
-  def partOf(id: Long): Int = part(id)
+    s.groupBy(e => partOf(e.id)).forall { case (p, es) => es.size <= capOf(p) }
 }

@@ -1,6 +1,6 @@
 package repro.matroid
 
-import repro.core.{Diversity, Distance, Element}
+import repro.core.{Distance, Element}
 import scala.collection.mutable
 
 /** Algorithm 4 — matroid intersection à la Cunningham [18], adapted as in the
@@ -11,84 +11,145 @@ import scala.collection.mutable
   *
   * The second phase runs the standard augmentation-graph loop (Definition 2):
   * BFS a shortest `a → b` path and toggle the membership of its interior.
-  * Returns a maximum-cardinality set in `I₁ ∩ I₂` (verified against brute
-  * force in tests).
+  * It is skipped when |S| already equals `min(rank(M₁), rank(M₂))`, since then
+  * no augmenting path exists. Returns a maximum-cardinality set in `I₁ ∩ I₂`
+  * (verified against brute force in tests).
   */
 object MatroidIntersection {
 
   /** Augment `s0 ∈ I₁ ∩ I₂` to a maximum-cardinality common independent set.
+    * The result lists `s0`, then the greedy picks, in insertion order; each
+    * augmentation drops the elements it removes and appends those it adds.
     *
     * @param m1     first matroid (fairness), over ground set V
-    * @param m2     second matroid (clusters), over the same V
+    * @param m2     second matroid (clusters), over the same V in the same order
     * @param dist   used only for the greedy farthest-first ordering
     * @param s0     initial common independent set
     */
-  def augmentToMax(m1: Matroid, m2: Matroid, dist: Distance, s0: Seq[Element]): Vector[Element] = {
-    val ground: IndexedSeq[Element] = m1.ground
-    val byId: Map[Long, Element] = ground.map(e => e.id -> e).toMap
-    val inS = mutable.LinkedHashSet.from(s0.map(_.id))
+  def augmentToMax(m1: PartitionMatroid, m2: PartitionMatroid, dist: Distance, s0: Seq[Element]): Vector[Element] = {
+    val ground = m1.ground
+    val n = ground.length
+    require(m2.ground.length == n, "the two matroids must share one ground set")
+    val s = new Members(m1, m2)
+    s0.foreach(e => s.add(m1.positionOf(e.id)))
+    require(s.independent, "the initial set must be common independent")
 
-    def sElems: Vector[Element] = inS.iterator.map(byId).toVector
-
-    // --- Phase 1: greedy farthest-first over V1 ∩ V2 (Lines 2–7). ---
-    var v12 = ground.filter(e => !inS.contains(e.id) && m1.canAdd(inS, e) && m2.canAdd(inS, e))
-    while (v12.nonEmpty) {
-      val cur = sElems
-      val pick = v12.maxBy(x => (Diversity.distToSet(x, cur, dist), -x.id))
-      inS += pick.id
-      v12 = v12.filter(e => e.id != pick.id && m1.canAdd(inS, e) && m2.canAdd(inS, e))
+    // --- Phase 1: greedy farthest-first over V1 ∩ V2 (Lines 2–7), as in GMM:
+    // each live candidate keeps d(x, S), updated once per pick. ---
+    val live = Array.range(0, n).filter(i => !s.contains(i) && s.canAdd(i))
+    var nLive = live.length
+    val toS = Array.fill(nLive)(Double.PositiveInfinity)
+    if (nLive > 0) s.order.foreach(y => nearer(live, nLive, toS, y, ground, dist))
+    while (nLive > 0) {
+      // Larger d(x, S) first, then the smaller id.
+      var b = 0
+      var t = 1
+      while (t < nLive) {
+        val c = java.lang.Double.compare(toS(t), toS(b))
+        if (c > 0 || (c == 0 && ground(live(t)).id < ground(live(b)).id)) b = t
+        t += 1
+      }
+      val pick = live(b)
+      s.add(pick)
+      // Drop the pick and every candidate a matroid now refuses; counts only
+      // grow in this phase, so a refused candidate never returns.
+      var w = 0
+      t = 0
+      while (t < nLive) {
+        if (t != b && s.canAdd(live(t))) { live(w) = live(t); toS(w) = toS(t); w += 1 }
+        t += 1
+      }
+      nLive = w
+      nearer(live, nLive, toS, pick, ground, dist)
     }
 
     // --- Phase 2: Cunningham augmentation loop (Lines 8–14). ---
-    var path = shortestAugmentingPath(m1, m2, ground, inS)
-    while (path.nonEmpty) {
-      path.foreach { id => if (inS.contains(id)) inS -= id else inS += id }
-      path = shortestAugmentingPath(m1, m2, ground, inS)
+    if (s.order.length < math.min(m1.rank, m2.rank)) {
+      var path = shortestAugmentingPath(s)
+      while (path.nonEmpty) {
+        path.foreach(i => if (s.contains(i)) s.remove(i) else s.add(i))
+        path = shortestAugmentingPath(s)
+      }
     }
-    sElems
+    s.order.iterator.map(ground).toVector
+  }
+
+  /** `toS(t) = min(toS(t), d(live(t), y))` for the first `nLive` candidates. */
+  private def nearer(live: Array[Int], nLive: Int, toS: Array[Double], y: Int, ground: IndexedSeq[Element], dist: Distance): Unit = {
+    val ey = ground(y)
+    var t = 0
+    while (t < nLive) {
+      val d = dist(ground(live(t)), ey)
+      if (d < toS(t)) toS(t) = d
+      t += 1
+    }
+  }
+
+  /** The current set S by ground position, in insertion order, with its
+    * count in every part of both matroids.
+    */
+  private final class Members(val m1: PartitionMatroid, val m2: PartitionMatroid) {
+    private val in = new Array[Boolean](m1.ground.length)
+    val c1 = new Array[Int](m1.parts)
+    val c2 = new Array[Int](m2.parts)
+    val order = mutable.ArrayBuffer.empty[Int]
+
+    def contains(i: Int): Boolean = in(i)
+    def add(i: Int): Unit = if (!in(i)) {
+      in(i) = true; order += i; c1(m1.partAt(i)) += 1; c2(m2.partAt(i)) += 1
+    }
+    def remove(i: Int): Unit = {
+      in(i) = false; order -= i; c1(m1.partAt(i)) -= 1; c2(m2.partAt(i)) -= 1
+    }
+    def fits1(i: Int): Boolean = c1(m1.partAt(i)) < m1.capOf(m1.partAt(i))
+    def fits2(i: Int): Boolean = c2(m2.partAt(i)) < m2.capOf(m2.partAt(i))
+    def canAdd(i: Int): Boolean = fits1(i) && fits2(i)
+    def independent: Boolean =
+      c1.indices.forall(p => c1(p) <= m1.capOf(p)) && c2.indices.forall(p => c2(p) <= m2.capOf(p))
   }
 
   /** BFS the augmentation graph of Definition 2 and return the interior of a
-    * shortest `a → b` path (element ids, excluding the virtual a/b), or empty
-    * if no augmenting path exists.
+    * shortest `a → b` path (ground positions, excluding the virtual a/b), or
+    * empty if no augmenting path exists.
+    *
+    * The graph is never built. For partition matroids its edges are:
+    * a → x for x ∉ S that M₁ accepts; x → b for x ∉ S that M₂ accepts;
+    * otherwise x → y for each y ∈ S in x's M₂ part; and y → x for y ∈ S and
+    * each x ∉ S in y's M₁ part when that part is full. Neighbours are visited
+    * in ground order, so the path is the one an explicit adjacency list in
+    * ground order yields.
     */
-  private def shortestAugmentingPath(
-      m1: Matroid,
-      m2: Matroid,
-      ground: IndexedSeq[Element],
-      inS: collection.Set[Long],
-  ): List[Long] = {
-    val n = ground.length
-    val idx = ground.iterator.zipWithIndex.map { case (e, i) => e.id -> i }.toMap
-    val A = n; val B = n + 1
-    // Adjacency built eagerly — ground sets here are O(km), tiny.
-    val adj = Array.fill(n + 1)(List.empty[Int]) // no edges out of B
-    val outside = ground.filter(e => !inS.contains(e.id))
-    val inside = ground.filter(e => inS.contains(e.id))
-    for (x <- outside) {
-      val xi = idx(x.id)
-      if (m1.canAdd(inS, x)) adj(A) ::= xi
-      else for (y <- inside if m1.canSwap(inS, x, y)) adj(idx(y.id)) ::= xi
-      if (m2.canAdd(inS, x)) adj(xi) ::= B
-      else for (y <- inside if m2.canSwap(inS, x, y)) adj(xi) ::= idx(y.id)
-    }
-    // BFS from A.
-    val prev = Array.fill(n + 2)(-2) // -2 unvisited, -1 root
-    prev(A) = -1
-    val q = mutable.Queue(A)
-    while (q.nonEmpty && prev(B) == -2) {
-      val u = q.dequeue()
-      if (u != B) {
-        // Reverse for determinism: adjacency lists were built with ::.
-        for (v <- adj(u).reverse if prev(v) == -2) { prev(v) = u; q += v }
+  private def shortestAugmentingPath(s: Members): List[Int] = {
+    val (m1, m2) = (s.m1, s.m2)
+    val n = m1.ground.length
+    val prev = Array.fill(n)(-2) // -2 unvisited, -1 reached from a
+    val queue = new Array[Int](n)
+    var head = 0
+    var tail = 0
+    def visit(v: Int, u: Int): Unit = if (prev(v) == -2) { prev(v) = u; queue(tail) = v; tail += 1 }
+    var i = 0
+    while (i < n) { if (!s.contains(i) && s.fits1(i)) visit(i, -1); i += 1 }
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
+      if (!s.contains(u)) {
+        if (s.fits2(u)) {
+          var acc = List.empty[Int]
+          var cur = u
+          while (cur != -1) { acc ::= cur; cur = prev(cur) }
+          return acc
+        }
+        val q = m2.partAt(u)
+        var t = m2.start(q)
+        while (t < m2.start(q + 1)) { val y = m2.members(t); if (s.contains(y)) visit(y, u); t += 1 }
+      } else {
+        val p = m1.partAt(u)
+        if (s.c1(p) >= m1.capOf(p)) {
+          var t = m1.start(p)
+          while (t < m1.start(p + 1)) { val x = m1.members(t); if (!s.contains(x)) visit(x, u); t += 1 }
+        }
       }
     }
-    if (prev(B) == -2) Nil
-    else {
-      var cur = prev(B)
-      var acc = List.empty[Long]
-      while (cur != A) { acc ::= ground(cur).id; cur = prev(cur) }
-      acc
-    }
+    Nil
   }
 }

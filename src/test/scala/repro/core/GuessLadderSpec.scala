@@ -68,6 +68,62 @@ class GuessLadderSpec extends AnyFunSuite with PropSupport {
     assert(DistanceBounds.estimate(xs, Manhattan) == DistanceBounds.estimate(xs, Manhattan))
   }
 
+  /** The single-threaded scan `estimate` replaced, kept as the reference. */
+  private def sequentialEstimate(xs: IndexedSeq[Element], metric: Metric, sampleSize: Int): DistanceBounds = {
+    val pivot = xs.head
+    var far = 0.0
+    var i = 1
+    while (i < xs.length) {
+      val d = metric.dist(pivot, xs(i))
+      if (d > far) far = d
+      i += 1
+    }
+    require(far > 0, "degenerate dataset: all points coincide")
+    val dmax = 2 * far
+    val stride = math.max(1, xs.length / sampleSize)
+    val sample = xs.indices.by(stride).map(xs).toIndexedSeq
+    var mn = Double.PositiveInfinity
+    i = 0
+    while (i < sample.length) {
+      var j = i + 1
+      while (j < sample.length) {
+        val d = metric.dist(sample(i), sample(j))
+        if (d > 0 && d < mn) mn = d
+        j += 1
+      }
+      i += 1
+    }
+    if (!mn.isFinite) mn = dmax / 1e6
+    DistanceBounds(math.min(mn / 2, dmax), math.max(dmax, mn / 2))
+  }
+
+  test("DistanceBounds.estimate equals the sequential scan bit for bit") {
+    val rng = new scala.util.Random(7)
+    def reals(n: Int, dim: Int): IndexedSeq[Element] =
+      IndexedSeq.tabulate(n)(i => Element(i.toLong, 0, Array.fill(dim)(rng.nextDouble() * 4 - 2)))
+    // Few distinct points: most sampled pairs coincide (d = 0) and many tie.
+    def lattice(n: Int): IndexedSeq[Element] =
+      IndexedSeq.tabulate(n)(i => Element(i.toLong, 0, Array.fill(2)(rng.nextInt(3).toDouble - 1)))
+    def withNaN(xs: IndexedSeq[Element], at: Int): IndexedSeq[Element] =
+      xs.updated(at, Element(xs(at).id, 0, Array.fill(xs(at).features.length)(Double.NaN)))
+    val cases = Seq(
+      ("stride 2, even sample", reals(3500, 3), 1500),
+      ("stride 2, odd sample", reals(3001, 5), 1500),
+      ("stride 13", reals(700, 4), 50),
+      ("stride 1", reals(301, 2), 1500),
+      ("two elements", reals(2, 3), 1500),
+      ("duplicate-heavy", lattice(4000), 1500),
+      // Every row of the sample ends with a pair at the last sampled index.
+      ("a NaN vector at the last sampled index", withNaN(reals(3200, 3), 3198), 1500),
+    )
+    for ((name, xs, sampleSize) <- cases; metric <- Seq(Euclidean, Manhattan, Angular)) {
+      val got = DistanceBounds.estimate(xs, metric, sampleSize)
+      val want = sequentialEstimate(xs, metric, sampleSize)
+      val bits = (b: DistanceBounds) => (java.lang.Double.doubleToRawLongBits(b.dmin), java.lang.Double.doubleToRawLongBits(b.dmax))
+      assert(bits(got) == bits(want), s"$name, ${metric.name}: $got vs $want")
+    }
+  }
+
   test("DistanceBounds rejects degenerate input") {
     intercept[IllegalArgumentException](DistanceBounds(0.0, 1.0))
     intercept[IllegalArgumentException](DistanceBounds(2.0, 1.0))

@@ -66,7 +66,8 @@ class SFDM2Spec extends AnyFunSuite {
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 2)
     val sAll = st.contents
-    val cid = st.clusterIds(sAll, mu)
+    val cluster = st.clusterIds(sAll, mu, new PairTable(st.memo))
+    val cid = sAll.indices.map(i => sAll(i).id -> cluster(i)).toMap
     val thr = mu / 4 // m + 1 = 4
     for (i <- sAll.indices; j <- i + 1 until sAll.length
          if cid(sAll(i).id) != cid(sAll(j).id))
@@ -80,7 +81,8 @@ class SFDM2Spec extends AnyFunSuite {
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 3)
     val sAll = st.contents
-    val cid = st.clusterIds(sAll, mu)
+    val cluster = st.clusterIds(sAll, mu, new PairTable(st.memo))
+    val cid = sAll.indices.map(i => sAll(i).id -> cluster(i)).toMap
     val thr = mu / 3 // m + 1 = 3
     sAll.groupBy(e => cid(e.id)).values.filter(_.size > 1).foreach { cluster =>
       cluster.foreach { x =>
