@@ -31,9 +31,20 @@ abstract class CandidateBank(
     groupCaps.map(cap => guesses.map(mu => new Candidate(cap, mu, memo))).toArray
 
   private var streamNs = 0L
+  private var dim = -1 // feature length of the first arrival
 
+  /** Offer `x` to its candidates. An arrival whose group is out of range,
+    * whose feature length differs from the first arrival's, or that has a
+    * non-finite feature is rejected with an `IllegalArgumentException`. A
+    * finite `sqNorm` implies finite features, so only arrivals whose squares
+    * overflow or are not finite are scanned.
+    */
   override def process(x: Element): Unit = {
-    require(grp.isEmpty || (x.group >= 0 && x.group < grp.length), s"group ${x.group} out of range [0,${grp.length})")
+    require(grp.isEmpty || (x.group >= 0 && x.group < grp.length), s"element ${x.id}: group ${x.group} out of range [0,${grp.length})")
+    require(java.lang.Double.isFinite(x.sqNorm) || x.features.forall(java.lang.Double.isFinite(_)),
+      s"element ${x.id} has a non-finite feature")
+    if (dim < 0) dim = x.features.length
+    require(x.features.length == dim, s"element ${x.id} has ${x.features.length} features, the first arrival had $dim")
     val t0 = System.nanoTime()
     val g = if (grp.isEmpty) null else grp(x.group)
     var j = 0

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.stream.IntStream
 import scala.collection.mutable
 
 /** The stream phase's distance cache, shared by every candidate of one
@@ -107,4 +108,39 @@ final class PairTable(memo: DistanceMemo) extends Distance {
   }
 
   override def apply(a: Element, b: Element): Double = at(slotOf(a), slotOf(b))
+
+  /** Fill, on the common fork-join pool, every unfilled cell whose two slots
+    * both lie in one of `sets` (arrays of slots). Each slot carries a bitmask
+    * of the sets it is in, and a task fills whole rows (row i holds the cells
+    * (i, j), j < i), so each cell has exactly one writer. Task t takes rows t
+    * and n−1−t, n−1 cells in all. The new evaluations are counted in
+    * [[evals]] as the sum of the per-row counts.
+    */
+  def fill(sets: IndexedSeq[Array[Int]]): Unit = {
+    val words = (sets.length + 63) >>> 6
+    val mask = new Array[Long](n * words)
+    for (t <- sets.indices; s <- sets(t)) mask(s * words + (t >>> 6)) |= 1L << (t & 63)
+    def shared(i: Int, j: Int): Boolean = {
+      var w = 0
+      while (w < words && (mask(i * words + w) & mask(j * words + w)) == 0L) w += 1
+      w < words
+    }
+    def row(i: Int): Long = {
+      if (!shared(i, i)) return 0L // slot i is in no set
+      var filled = 0L
+      val base = i * (i - 1) / 2
+      var j = 0
+      while (j < i) {
+        if (cells(base + j) == -1.0 && shared(i, j)) {
+          cells(base + j) = memo.metric.dist(memo.element(i), memo.element(j))
+          filled += 1
+        }
+        j += 1
+      }
+      filled
+    }
+    misses += IntStream.range(0, (n + 1) / 2).parallel()
+      .mapToLong(t => if (n - 1 - t == t) row(t) else row(t) + row(n - 1 - t))
+      .sum()
+  }
 }

@@ -10,6 +10,11 @@ package repro.core
   *                 [[Metric]] in use (Euclidean / Manhattan / Angular)
   */
 final case class Element(id: Long, group: Int, features: Array[Double]) {
+  /** `Σ fᵢ²`, computed once as `Element.dot(features, features)`; [[Angular]]
+    * reads it instead of summing the squares again, and gets the same double.
+    */
+  val sqNorm: Double = Element.dot(features, features)
+
   /** Identity by id only: feature arrays use reference equality by default,
     * and a stream never contains two distinct elements with the same id.
     */
@@ -21,4 +26,13 @@ final case class Element(id: Long, group: Int, features: Array[Double]) {
 
   override def toString: String =
     s"Element($id, g$group, [${features.take(4).map(v => f"$v%.3f").mkString(",")}${if (features.length > 4) ",…" else ""}])"
+}
+
+object Element {
+  /** `Σ aᵢ·bᵢ` over the indices of `a`, accumulated in index order. */
+  def dot(a: Array[Double], b: Array[Double]): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    s
+  }
 }

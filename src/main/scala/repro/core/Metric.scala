@@ -23,10 +23,14 @@ sealed trait Metric extends Distance with Serializable {
   /** Distance between two feature vectors of equal length. */
   def dist(a: Array[Double], b: Array[Double]): Double
 
-  /** Distance between two elements. */
-  @inline final def dist(a: Element, b: Element): Double = dist(a.features, b.features)
+  /** Distance between two elements: the same double as
+    * `dist(a.features, b.features)`, which a metric may compute faster from
+    * what an [[Element]] caches. Each metric implements it itself, so the
+    * hot call from the stream phase reaches the kernel in one dispatch.
+    */
+  def dist(a: Element, b: Element): Double
 
-  final override def apply(a: Element, b: Element): Double = dist(a.features, b.features)
+  final override def apply(a: Element, b: Element): Double = dist(a, b)
 
   /** Short display name for tables and logs. */
   def name: String
@@ -39,6 +43,7 @@ case object Euclidean extends Metric {
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
     math.sqrt(s)
   }
+  override def dist(a: Element, b: Element): Double = dist(a.features, b.features)
   override val name = "Euclidean"
 }
 
@@ -49,6 +54,7 @@ case object Manhattan extends Metric {
     while (i < a.length) { s += math.abs(a(i) - b(i)); i += 1 }
     s
   }
+  override def dist(a: Element, b: Element): Double = dist(a.features, b.features)
   override val name = "Manhattan"
 }
 
@@ -56,17 +62,22 @@ case object Manhattan extends Metric {
   * unit sphere — a true metric (unlike cosine *dissimilarity*). The zero
   * vector is treated as orthogonal to everything (distance π/2), which keeps
   * the function total; generators never emit zero vectors.
+  *
+  * The element path makes one dot product and reads both squared norms from
+  * [[Element.sqNorm]]. Every sum is [[Element.dot]]'s, so both paths give the
+  * same double.
   */
 case object Angular extends Metric {
-  override def dist(a: Array[Double], b: Array[Double]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
+  override def dist(a: Array[Double], b: Array[Double]): Double =
+    angle(Element.dot(a, b), Element.dot(a, a), Element.dot(b, b))
+
+  override def dist(a: Element, b: Element): Double =
+    angle(Element.dot(a.features, b.features), a.sqNorm, b.sqNorm)
+
+  private def angle(dot: Double, na: Double, nb: Double): Double =
     if (na == 0.0 || nb == 0.0) math.Pi / 2
-    else {
-      val c = dot / math.sqrt(na * nb)
-      math.acos(math.max(-1.0, math.min(1.0, c)))
-    }
-  }
+    else math.acos(math.max(-1.0, math.min(1.0, dot / math.sqrt(na * nb))))
+
   override val name = "Angular"
 }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.stream.IntStream
 import repro.matroid.{MatroidIntersection, PartitionMatroid}
 import scala.collection.mutable
 
@@ -53,9 +54,10 @@ final class SFDM2(
   }
 
   /** Post-process one guess: initial partial solution, clusters, matroid
-    * intersection (Lines 11–18). Returns the augmented set (fair iff size k).
+    * intersection (Lines 11, 13–18) over its `sAll` (Line 12). Returns the
+    * augmented set (fair iff size k).
     */
-  private def solveGuess(j: Int, dist: PairTable): Vector[Element] = {
+  private def solveGuess(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] = {
     val mu = guesses(j)
     // Line 11: from each group keep min(k_i, count) elements of S_µ (arbitrary
     // choice allowed — insertion order kept for determinism).
@@ -63,9 +65,6 @@ final class SFDM2(
     val sPrime = (0 until m).flatMap { i =>
       byGroup.getOrElse(i, IndexedSeq.empty).take(ks(i))
     }
-    // Line 12: S_all = all candidates at this guess, dedup by id. Group
-    // candidates come first: Algorithm 4 walks the ground set in this order.
-    val sAll = distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j)))
     // Lines 13–16: clusters.
     val cluster = clusterIds(sAll, mu, dist)
     // Line 17: M1 = fairness partition matroid, M2 = cluster partition matroid.
@@ -79,8 +78,23 @@ final class SFDM2(
     MatroidIntersection.augmentToMax(m1, m2, dist, s0)
   }
 
+  /** The guesses of U' are solved in parallel on the common fork-join pool.
+    * Every pair they read lies within one guess's `S_all`, and clustering
+    * reads them all, so `dist.fill` evaluates exactly those pairs first and
+    * the parallel phase only reads the table. Results are taken in guess
+    * order, so `maxBy` picks the same set as a sequential loop.
+    */
   override protected def postProcess(dist: PairTable): Vector[Element] = {
-    val fairSets = eligible(ks).map(solveGuess(_, dist)).filter(_.size == k)
+    val js = eligible(ks)
+    // Line 12: S_all = all candidates at the guess, dedup by id. Group
+    // candidates come first: Algorithm 4 walks the ground set in this order.
+    val sAlls = js.map(j => distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j))))
+    dist.fill(sAlls.map(_.iterator.map(dist.slotOf).toArray))
+    val filled = dist.evals
+    val solved = new Array[Vector[Element]](js.length)
+    IntStream.range(0, js.length).parallel().forEach(t => solved(t) = solveGuess(js(t), sAlls(t), dist))
+    assert(dist.evals == filled, "a guess read a pair outside its S_all")
+    val fairSets = solved.toIndexedSeq.filter(_.size == k)
     if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, dist))
     else fallback(ks)
   }

@@ -32,4 +32,8 @@ class EvalCountSpec extends AnyFunSuite {
   test("SFDM2: evaluations are bounded by the distinct pairs of each phase") {
     checkCounts(new SFDM2(IndexedSeq(1, 2, 4), 0.1, DistanceBounds.exact(xs3, Euclidean), Euclidean), xs3)
   }
+
+  test("SFDM2 under Angular: evaluations are bounded by the distinct pairs of each phase") {
+    checkCounts(new SFDM2(IndexedSeq(1, 2, 4), 0.1, DistanceBounds.exact(xs3, Angular), Angular), xs3)
+  }
 }

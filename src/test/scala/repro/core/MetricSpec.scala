@@ -16,7 +16,31 @@ class MetricSpec extends AnyFunSuite with PropSupport {
     (fix(a0), fix(b0))
   }
 
+  /** Entries spread over 17 decades, so a sum of squares taken in another
+    * order is usually a different double.
+    */
+  private val spreadVec: Gen[Array[Double]] = Gen.choose(3, 40).flatMap { d =>
+    Gen.containerOfN[Array, Double](d, Gen.zip(Gen.choose(-1.0, 1.0), Gen.choose(-8, 8)).map { case (u, e) => u * math.pow(10, e) })
+  }
+
   for (metric <- metrics) {
+    test(s"${metric.name}: the element path and the array path give the same double") {
+      // zero = 1 or 2 makes a or b the zero vector, Angular's π/2 case.
+      checkProp(Prop.forAll(spreadVec, spreadVec, Gen.choose(0, 2)) { (a0, b0, zero) =>
+        val d = math.max(a0.length, b0.length)
+        val a = if (zero == 1) Array.fill(d)(0.0) else a0.padTo(d, 0.0)
+        val b = if (zero == 2) Array.fill(d)(0.0) else b0.padTo(d, 0.0)
+        val (ea, eb) = (Element(1, 0, a), Element(2, 1, b))
+        val first = metric.dist(ea, eb)
+        // Elements built after a first dist call, over copies of the vectors.
+        val (ea2, eb2) = (Element(1, 0, a.clone()), Element(2, 1, b.clone()))
+        val want = metric.dist(a, b)
+        Seq(first, metric.dist(ea, eb), metric(ea, eb), metric.dist(ea2, eb2), metric.dist(ea2, eb))
+          .forall(java.lang.Double.compare(_, want) == 0) &&
+          java.lang.Double.compare(metric.dist(eb, ea), metric.dist(b, a)) == 0
+      }, minSuccessful = 500)
+    }
+
     test(s"${metric.name}: identity — d(x,x) = 0") {
       checkProp(Prop.forAll(vecGen()) { a0 =>
         val (a, _) = pair(a0, a0)
