@@ -31,20 +31,23 @@ abstract class CandidateBank(
     groupCaps.map(cap => guesses.map(mu => new Candidate(cap, mu, memo))).toArray
 
   private var streamNs = 0L
-  private var dim = -1 // feature length of the first arrival
+  // Feature length of the arrivals so far, and `seen` = −1 once there has
+  // been one (0 before). The length test has no branch that only a stream's
+  // first arrival takes: the JIT would compile it as never taken and then
+  // deoptimise `process` at the first arrival of the next stream.
+  private var dim = 0
+  private var seen = 0
 
   /** Offer `x` to its candidates. An arrival whose group is out of range,
     * whose feature length differs from the first arrival's, or that has a
-    * non-finite feature is rejected with an `IllegalArgumentException`. A
-    * finite `sqNorm` implies finite features, so only arrivals whose squares
-    * overflow or are not finite are scanned.
+    * non-finite feature is rejected with an `IllegalArgumentException`.
     */
   override def process(x: Element): Unit = {
     require(grp.isEmpty || (x.group >= 0 && x.group < grp.length), s"element ${x.id}: group ${x.group} out of range [0,${grp.length})")
-    require(java.lang.Double.isFinite(x.sqNorm) || x.features.forall(java.lang.Double.isFinite(_)),
-      s"element ${x.id} has a non-finite feature")
-    if (dim < 0) dim = x.features.length
-    require(x.features.length == dim, s"element ${x.id} has ${x.features.length} features, the first arrival had $dim")
+    val len = x.features.length
+    if (((len ^ dim) & seen) != 0 || !java.lang.Double.isFinite(x.sqNorm)) screen(x)
+    dim = len
+    seen = -1
     val t0 = System.nanoTime()
     val g = if (grp.isEmpty) null else grp(x.group)
     var j = 0
@@ -54,6 +57,15 @@ abstract class CandidateBank(
       j += 1
     }
     streamNs += System.nanoTime() - t0
+  }
+
+  /** Rejects an arrival that failed [[process]]'s test, naming it, unless
+    * its features are finite and only their squares overflowed: a finite
+    * `sqNorm` implies finite features, so only these arrivals are scanned.
+    */
+  private def screen(x: Element): Unit = {
+    require(x.features.forall(java.lang.Double.isFinite(_)), s"element ${x.id} has a non-finite feature")
+    require(seen == 0 || x.features.length == dim, s"element ${x.id} has ${x.features.length} features, the first arrival had $dim")
   }
 
   /** Blind candidates first, then each group's, dedup by id. */
