@@ -99,8 +99,12 @@ abstract class CandidateBank(
     */
   protected def postProcess(dist: PairTable): Vector[Element]
 
-  /** Post-processing and the reported `div(solution)` share one pair table. */
+  /** Post-processing and the reported `div(solution)` share one pair table.
+    * An empty stream has no solution whose diversity could be compared, so it
+    * is rejected rather than reported as +∞.
+    */
   final override def finish(): FdmResult = {
+    if (seen == 0) throw new IllegalStateException("the stream was empty: finish() before any arrival")
     val t0 = System.nanoTime()
     val dist = new PairTable(memo)
     val sol = postProcess(dist)

@@ -67,23 +67,4 @@ object Diversity {
     }
     rec(0, Nil, Double.NegativeInfinity)
   }
-
-  /** Exact fair-optimal *solution* (not just its value) — test oracle only. */
-  def bruteForceFairArgOpt(xs: IndexedSeq[Element], ks: IndexedSeq[Int], metric: Metric): Option[Vector[Element]] = {
-    val byGroup = xs.groupBy(_.group)
-    if (ks.zipWithIndex.exists { case (ki, i) => byGroup.getOrElse(i, IndexedSeq.empty).length < ki })
-      return None
-    var best = Double.NegativeInfinity
-    var arg: Vector[Element] = Vector.empty
-    def rec(g: Int, acc: List[Element]): Unit = {
-      if (g == ks.length) {
-        val d = div(acc, metric)
-        if (d > best) { best = d; arg = acc.toVector }
-      } else {
-        byGroup.getOrElse(g, IndexedSeq.empty).combinations(ks(g)).foreach(c => rec(g + 1, c.toList ::: acc))
-      }
-    }
-    rec(0, Nil)
-    if (arg.nonEmpty) Some(arg) else None
-  }
 }

@@ -34,8 +34,7 @@ final case class FdmResult(
   *
   * Implementations keep only the per-guess candidates (memory independent of
   * the stream length), so a single instance can be driven equally well by a
-  * local iterator, a Structured Streaming `foreachBatch` sink, or a merged
-  * per-partition coreset.
+  * local iterator or a Structured Streaming `foreachBatch` sink.
   */
 trait FdmState extends Serializable {
   def process(x: Element): Unit
@@ -46,13 +45,12 @@ trait FdmState extends Serializable {
     while (it.hasNext) process(it.next())
   }
 
-  /** Run post-processing and return the final solution. */
+  /** Run post-processing and return the final solution. A state that saw
+    * no arrival throws an `IllegalStateException`.
+    */
   def finish(): FdmResult
 
-  /** Distinct elements currently stored across all candidates — also the
-    * coreset a partition-local state ships to the driver in the distributed
-    * execution mode.
-    */
+  /** Distinct elements currently stored across all candidates. */
   def contents: IndexedSeq[Element]
 
   /** `|contents|`: the memory figure reported as [[FdmResult.storedElements]]. */

@@ -46,7 +46,6 @@ object GuessLadder {
   */
 final case class DistanceBounds(dmin: Double, dmax: Double) {
   require(dmin > 0 && dmax >= dmin, s"bad bounds: [$dmin, $dmax]")
-  def delta: Double = dmax / dmin
 }
 
 object DistanceBounds {

@@ -195,9 +195,4 @@ object Datasets {
     val df = finish(grouped.withColumn("features", array(feats: _*)))
     FdmDataset("Synthetic", s"uniform-$m", df, n, m, 2, Euclidean)
   }
-
-  /** A deterministic permutation of a dataset (the paper averages over 10
-    * stream permutations; benches use a few seeds of this).
-    */
-  def permuted(df: DataFrame, seed: Long): DataFrame = df.orderBy(rand(seed))
 }

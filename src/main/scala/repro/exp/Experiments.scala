@@ -22,28 +22,6 @@ object Experiments {
     (0 until m).map(i => if (i < extra) base + 1 else base)
   }
 
-  /** Proportional representation: `k_i ∝ n_i/n`, floored at 1, adjusted by
-    * largest remainder to sum to k.
-    */
-  def quotasProportional(k: Int, groupCounts: IndexedSeq[Long]): IndexedSeq[Int] = {
-    val m = groupCounts.length
-    require(k >= m, s"k=$k must be ≥ m=$m")
-    val n = groupCounts.sum.toDouble
-    val ideal = groupCounts.map(c => k * c / n)
-    val ks = ideal.map(x => math.max(1, x.toInt)).toArray
-    // Largest-remainder adjustment toward sum == k.
-    var diff = k - ks.sum
-    val byRemainder = ideal.zipWithIndex.sortBy { case (x, _) => -(x - x.toInt) }.map(_._2)
-    var cursor = 0
-    while (diff != 0) {
-      val i = byRemainder(cursor % m)
-      if (diff > 0) { ks(i) += 1; diff -= 1 }
-      else if (ks(i) > 1) { ks(i) -= 1; diff += 1 }
-      cursor += 1
-    }
-    ks.toIndexedSeq
-  }
-
   /** One averaged measurement: diversity, wall seconds, and (for streaming
     * algorithms) stored-element count.
     */

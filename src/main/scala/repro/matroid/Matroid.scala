@@ -3,29 +3,6 @@ package repro.matroid
 import repro.core.Element
 import scala.collection.mutable
 
-/** A matroid `M = (V, I)` over stream elements, exposed through id-based
-  * independence predicates (tests and brute-force checks use them; Algorithm 4
-  * reads [[PartitionMatroid]]'s arrays). Implementations must satisfy the
-  * matroid axioms (property-tested in `MatroidSpec`): hereditary, and the
-  * augmentation property.
-  */
-trait Matroid extends Serializable {
-  /** Ground set. */
-  def ground: IndexedSeq[Element]
-
-  /** Is `S ∪ {x}` independent, given independent `S` (x ∉ S)? */
-  def canAdd(s: collection.Set[Long], x: Element): Boolean
-
-  /** Is `S ∪ {x} \ {y}` independent, given independent `S`, x ∉ S, y ∈ S,
-    * and `S ∪ {x}` dependent? For partition matroids this is a swap within
-    * the saturated part.
-    */
-  def canSwap(s: collection.Set[Long], x: Element, y: Element): Boolean
-
-  /** Is the whole set independent (used by tests / brute-force checks)? */
-  def isIndependent(s: Seq[Element]): Boolean
-}
-
 /** A partition matroid: the ground set is split into parts and a set is
   * independent iff it holds at most `cap(part)` elements of each part.
   *
@@ -34,18 +11,15 @@ trait Matroid extends Serializable {
   *
   * The parts are renumbered densely once, at construction, and everything is
   * kept by ground position, so [[MatroidIntersection]] runs on plain arrays.
-  * The id-based predicates of [[Matroid]] accept elements of the ground set.
+  * The matroid axioms are property-tested against [[isIndependent]] in
+  * `MatroidSpec`.
   *
   * @param ground ground set; element ids must be distinct
   * @param part   part label of each ground element, by position
   * @param cap    capacity of each part label
   */
-final class PartitionMatroid(val ground: IndexedSeq[Element], part: Array[Int], cap: Int => Int) extends Matroid {
+final class PartitionMatroid(val ground: IndexedSeq[Element], part: Array[Int], cap: Int => Int) {
   require(part.length == ground.length, s"${part.length} part labels for ${ground.length} ground elements")
-
-  /** Parts given by element id. */
-  def this(ground: IndexedSeq[Element], part: Long => Int, cap: Int => Int) =
-    this(ground, Array.tabulate(ground.length)(i => part(ground(i).id)), cap)
 
   private val n = ground.length
   // Positions sorted by (label, position): each part is one run of `members`,
@@ -89,16 +63,7 @@ final class PartitionMatroid(val ground: IndexedSeq[Element], part: Array[Int], 
   /** Ground position of an element id. */
   def positionOf(id: Long): Int = positionById(id)
 
-  private def partOf(id: Long): Int = partAt(positionOf(id))
-
-  override def canAdd(s: collection.Set[Long], x: Element): Boolean = {
-    val p = partOf(x.id)
-    s.count(partOf(_) == p) < capOf(p)
-  }
-
-  // S+x violates only part(x)'s cap; removing y fixes it iff y shares the part.
-  override def canSwap(s: collection.Set[Long], x: Element, y: Element): Boolean = partOf(y.id) == partOf(x.id)
-
-  override def isIndependent(s: Seq[Element]): Boolean =
-    s.groupBy(e => partOf(e.id)).forall { case (p, es) => es.size <= capOf(p) }
+  /** Is the set, of elements of the ground set, independent? */
+  def isIndependent(s: Seq[Element]): Boolean =
+    s.groupBy(e => partAt(positionOf(e.id))).forall { case (p, es) => es.size <= capOf(p) }
 }

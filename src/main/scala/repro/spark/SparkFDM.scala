@@ -6,14 +6,11 @@ import repro.core._
 
 /** Spark dataflow integration for the streaming FDM algorithms.
   *
-  * Three execution modes over a `(id, group, features)` DataFrame:
+  * Two execution modes over a `(id, group, features)` DataFrame:
   *  1. [[runSequential]] — faithful one-pass driver-side execution via
   *     `toLocalIterator` (the paper's streaming model verbatim);
-  *  2. [[runDistributed]] — per-partition stream processing (`mapPartitions`)
-  *     whose candidates form a small coreset that is merged and re-streamed
-  *     on the driver;
-  *  3. `stream.StructuredFDM` — a Structured Streaming `foreachBatch` job
-  *     (the repro band's target), in its own module.
+  *  2. `stream.StructuredFDM` — a Structured Streaming `foreachBatch` job,
+  *     in its own module.
   */
 object SparkFDM {
 
@@ -41,28 +38,5 @@ object SparkFDM {
     val it = toDS(df).toLocalIterator()
     while (it.hasNext) state.process(it.next().toElement)
     state.finish()
-  }
-
-  /** Distributed run: each partition streams its elements through a fresh
-    * state built by `mkState` and emits the candidate contents (a coreset of
-    * O(km·logΔ/ε) elements per partition); the driver merges the coresets by
-    * re-streaming them, in id order, through `finalState` and post-processes
-    * once. Any element a partition discarded is within µ of a kept element,
-    * so the merged max-min guarantee degrades only by the usual factor-2
-    * triangle-inequality argument.
-    */
-  def runDistributed(df: DataFrame, mkState: () => FdmState, finalState: FdmState): FdmResult = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    val coreset: Array[ElementRow] = toDS(df)
-      .mapPartitions { it =>
-        val st = mkState()
-        it.foreach(r => st.process(r.toElement))
-        st.contents.iterator.map(e => ElementRow(e.id, e.group, e.features))
-      }
-      .collect()
-    val merged = coreset.map(_.toElement).distinct.sortBy(_.id)
-    merged.foreach(finalState.process)
-    finalState.finish()
   }
 }

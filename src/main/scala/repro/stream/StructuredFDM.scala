@@ -2,7 +2,6 @@ package repro.stream
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.functions._
 import repro.core.{Element, FdmResult, FdmState}
 
 /** Structured Streaming execution of the streaming FDM algorithms — the
@@ -43,8 +42,9 @@ object StructuredFDM {
       .outputMode("append")
       .foreachBatch { (batch: Dataset[StreamRow], _: Long) =>
         // Micro-batch → state, in logical arrival order. The state lives on
-        // the driver; only the tiny batch is collected.
-        batch.orderBy(asc("seq")).collect().foreach(r => state.process(Element(r.id, r.group, r.features)))
+        // the driver; the batch is collected and sorted there, as a global
+        // `orderBy` would plan a shuffle for a few thousand rows.
+        batch.collect().sortBy(_.seq).foreach(r => state.process(Element(r.id, r.group, r.features)))
         batches += 1
       }
       .start()

@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
 
 /** Input validation at ingestion: [[CandidateBank.process]] checks each
-  * arrival once, for all three streaming algorithms.
+  * arrival once, and [[CandidateBank.finish]] rejects an empty stream, for
+  * all three streaming algorithms.
   */
 class CandidateBankSpec extends AnyFunSuite {
 
@@ -50,6 +51,15 @@ class CandidateBankSpec extends AnyFunSuite {
       st.process(Element(104, 0, Array(1e200, 0.0, 0.0)))
       st.processAll(xs)
       assert(st.contents.exists(_.id == 104))
+    }
+  }
+
+  test("finish() on an empty stream is rejected, also after a rejected arrival") {
+    banks.foreach { st =>
+      val e = intercept[IllegalStateException](st.finish())
+      assert(e.getMessage.contains("stream was empty"), e.getMessage)
+      intercept[IllegalArgumentException](st.process(Element(105, 0, Array(Double.NaN, 0.0, 0.0))))
+      intercept[IllegalStateException](st.finish())
     }
   }
 }

@@ -1,10 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{PropSupport, TestGen}
+import repro.TestGen
 
 /** The µ-separated bounded candidate — the invariant everything rests on. */
-class CandidateSpec extends AnyFunSuite with PropSupport {
+class CandidateSpec extends AnyFunSuite {
 
   test("first element is always admitted (distance to empty set is +∞)") {
     val c = new Candidate(3, 5.0, new DistanceMemo(Euclidean))

@@ -56,18 +56,6 @@ class DiversitySpec extends SparkSpec {
     assert(Diversity.bruteForceFairOpt(xs, IndexedSeq(1, 1), Euclidean).isNegInfinity)
   }
 
-  test("bruteForceFairArgOpt returns a fair solution achieving the optimum") {
-    val rng = new scala.util.Random(13)
-    for (_ <- 0 until 10) {
-      val xs = TestGen.randomElements(9, 2, 2, rng.nextLong(), minPerGroup = 2)
-      val ks = IndexedSeq(2, 1)
-      val opt = Diversity.bruteForceFairOpt(xs, ks, Euclidean)
-      val sol = Diversity.bruteForceFairArgOpt(xs, ks, Euclidean).get
-      assert(sol.count(_.group == 0) == 2 && sol.count(_.group == 1) == 1)
-      assert(math.abs(Diversity.div(sol, Euclidean) - opt) < 1e-12)
-    }
-  }
-
   test("Oracle: Spark SQL min pairwise Euclidean distance matches DuckDB and Diversity.div") {
     import spark.implicits._
     val xs = TestGen.randomElements(40, 1, 2, seed = 5)

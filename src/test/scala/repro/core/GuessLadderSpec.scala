@@ -132,8 +132,4 @@ class GuessLadderSpec extends AnyFunSuite with PropSupport {
     val e = intercept[IllegalArgumentException](DistanceBounds.estimate(same, Euclidean))
     assert(e.getMessage.contains("all points coincide"), e.getMessage)
   }
-
-  test("delta = dmax/dmin") {
-    assert(math.abs(DistanceBounds(0.5, 50.0).delta - 100.0) < 1e-12)
-  }
 }

@@ -12,14 +12,6 @@ class DatasetsSpec extends SparkSpec {
 
   private val n = 2000L // small for tests; bench uses repro scale
 
-  private def all = Seq(
-    Datasets.adultLike(spark, "sex", n), Datasets.adultLike(spark, "race", n), Datasets.adultLike(spark, "sex+race", n),
-    Datasets.celebaLike(spark, "sex", n), Datasets.celebaLike(spark, "age", n), Datasets.celebaLike(spark, "sex+age", n),
-    Datasets.censusLike(spark, "sex", n), Datasets.censusLike(spark, "age", n), Datasets.censusLike(spark, "sex+age", n),
-    Datasets.lyricsLike(spark, n),
-    Datasets.blobs(spark, n, 4),
-  )
-
   for (ds <- Seq(("Adult", "sex", 2, 6), ("Adult", "race", 5, 6), ("Adult", "sex+race", 10, 6),
                  ("CelebA", "sex", 2, 41), ("CelebA", "age", 2, 41), ("CelebA", "sex+age", 4, 41),
                  ("Census", "sex", 2, 25), ("Census", "age", 7, 25), ("Census", "sex+age", 14, 25))) {
@@ -85,13 +77,6 @@ class DatasetsSpec extends SparkSpec {
     val b = SparkFDM.collectElements(Datasets.censusLike(spark, "age", 500).df)
     assert(a.map(_.id) == b.map(_.id) && a.map(_.group) == b.map(_.group))
     assert(a.zip(b).forall { case (x, y) => x.features.sameElements(y.features) })
-  }
-
-  test("permuted preserves the multiset of rows") {
-    val d = Datasets.blobs(spark, 500, 3)
-    val orig = SparkFDM.collectElements(d.df).map(_.id).sorted
-    val perm = SparkFDM.collectElements(Datasets.permuted(d.df, 42)).map(_.id).sorted
-    assert(orig == perm)
   }
 
   test("Oracle: group histogram of the Adult substitute matches DuckDB") {

@@ -25,26 +25,6 @@ class ExperimentsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Experiments.quotasEqual(3, 5))
   }
 
-  for (seed <- 1 to 5) {
-    test(s"quotasProportional: sums to k, each ≥ 1, tracks group shares (seed $seed)") {
-      val rng = new scala.util.Random(seed)
-      val m = 2 + rng.nextInt(4)
-      val counts = IndexedSeq.fill(m)(100L + rng.nextInt(2000))
-      val k = m + 5 + rng.nextInt(20)
-      val ks = Experiments.quotasProportional(k, counts)
-      assert(ks.sum == k && ks.forall(_ >= 1))
-      val n = counts.sum.toDouble
-      ks.indices.foreach { i =>
-        assert(math.abs(ks(i) - k * counts(i) / n) <= 2.0, s"quota ${ks(i)} far from share")
-      }
-    }
-  }
-
-  test("quotasProportional on highly skewed groups keeps the floor of 1") {
-    val ks = Experiments.quotasProportional(10, IndexedSeq(10000L, 10L))
-    assert(ks.sum == 10 && ks(1) >= 1)
-  }
-
   test("runCell produces all expected measures for m=2") {
     val xs = TestGen.randomElements(150, 2, 2, 9, minPerGroup = 20)
     val measures = Experiments.runCell(xs, IndexedSeq(3, 3), Euclidean, eps = 0.1,

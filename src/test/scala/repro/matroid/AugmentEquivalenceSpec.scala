@@ -16,7 +16,8 @@ class AugmentEquivalenceSpec extends AnyFunSuite {
       val p = part(x.id)
       s.count(part(_) == p) < cap(p)
     }
-    def canSwap(x: Element, y: Element): Boolean = part(y.id) == part(x.id)
+    /** S + x − y is independent when S + x is not: y shares x's part. */
+    def exchangeable(x: Element, y: Element): Boolean = part(y.id) == part(x.id)
   }
 
   /** The replaced Algorithm 4: greedy farthest-first with `distToSet`
@@ -55,9 +56,9 @@ class AugmentEquivalenceSpec extends AnyFunSuite {
     for (x <- outside) {
       val xi = idx(x.id)
       if (m1.canAdd(inS, x)) adj(A) ::= xi
-      else for (y <- inside if m1.canSwap(x, y)) adj(idx(y.id)) ::= xi
+      else for (y <- inside if m1.exchangeable(x, y)) adj(idx(y.id)) ::= xi
       if (m2.canAdd(inS, x)) adj(xi) ::= B
-      else for (y <- inside if m2.canSwap(x, y)) adj(xi) ::= idx(y.id)
+      else for (y <- inside if m2.exchangeable(x, y)) adj(xi) ::= idx(y.id)
     }
     val prev = Array.fill(n + 2)(-2)
     prev(A) = -1
@@ -109,7 +110,7 @@ class AugmentEquivalenceSpec extends AnyFunSuite {
 
     val (refIds, paths) = reference(ground, r1, r2, dist, s0)
     val m1 = new PartitionMatroid(ground, part1, caps1)
-    val m2 = new PartitionMatroid(ground, byId2, _ => cap2)
+    val m2 = new PartitionMatroid(ground, part2, _ => cap2)
     val got = MatroidIntersection.augmentToMax(m1, m2, dist, s0).map(_.id)
     assert(got == refIds, s"seed $seed (lattice=$lattice): $got vs reference $refIds")
     // The greedy phase alone yields the reference set minus its augmentations;

@@ -13,15 +13,14 @@ class MatroidIntersectionSpec extends AnyFunSuite {
     val m = 2 + rng.nextInt(3)
     val xs = TestGen.randomElements(7 + rng.nextInt(4), m, 2, seed * 13L)
     val caps1 = IndexedSeq.fill(m)(1 + rng.nextInt(2))
-    val groupOf = xs.map(e => e.id -> e.group).toMap
     val nClusters = 3 + rng.nextInt(3)
-    val clusterOf = xs.map(e => e.id -> rng.nextInt(nClusters)).toMap
-    val m1 = new PartitionMatroid(xs, groupOf, caps1)
+    val clusterOf = xs.map(_ => rng.nextInt(nClusters)).toArray
+    val m1 = new PartitionMatroid(xs, xs.map(_.group).toArray, caps1)
     val m2 = new PartitionMatroid(xs, clusterOf, _ => 1)
     (xs, m1, m2)
   }
 
-  private def bruteMaxCommon(xs: IndexedSeq[Element], m1: Matroid, m2: Matroid): Int =
+  private def bruteMaxCommon(xs: IndexedSeq[Element], m1: PartitionMatroid, m2: PartitionMatroid): Int =
     (0 to xs.length).reverse.collectFirst {
       case k if xs.combinations(k).exists(c => m1.isIndependent(c) && m2.isIndependent(c)) => k
     }.getOrElse(0)
@@ -52,17 +51,15 @@ class MatroidIntersectionSpec extends AnyFunSuite {
 
   test("identical matroids: intersection is just the matroid rank") {
     val xs = TestGen.randomElements(8, 2, 2, 5, minPerGroup = 3)
-    val groupOf = xs.map(e => e.id -> e.group).toMap
-    val m1 = new PartitionMatroid(xs, groupOf, IndexedSeq(2, 2))
+    val m1 = new PartitionMatroid(xs, xs.map(_.group).toArray, IndexedSeq(2, 2))
     val result = MatroidIntersection.augmentToMax(m1, m1, Euclidean, Vector.empty)
     assert(result.size == 4)
   }
 
   test("disjoint capacity zero part blocks everything") {
     val xs = TestGen.randomElements(6, 2, 2, 9, minPerGroup = 2)
-    val groupOf = xs.map(e => e.id -> e.group).toMap
-    val m1 = new PartitionMatroid(xs, groupOf, IndexedSeq(0, 0))
-    val m2 = new PartitionMatroid(xs, _ => 0, _ => 10)
+    val m1 = new PartitionMatroid(xs, xs.map(_.group).toArray, IndexedSeq(0, 0))
+    val m2 = new PartitionMatroid(xs, new Array[Int](xs.length), _ => 10)
     val result = MatroidIntersection.augmentToMax(m1, m2, Euclidean, Vector.empty)
     assert(result.isEmpty)
   }
@@ -71,8 +68,8 @@ class MatroidIntersectionSpec extends AnyFunSuite {
     // Line of points, all in distinct clusters/groups of cap 1 each: the
     // first two picks must be the extremes (0 and 9), like GMM.
     val xs = (0 until 10).map(i => Element(i.toLong, i, Array(i.toDouble)))
-    val m1 = new PartitionMatroid(xs, id => id.toInt, _ => 1)
-    val m2 = new PartitionMatroid(xs, id => id.toInt, _ => 1)
+    val m1 = new PartitionMatroid(xs, xs.map(_.id.toInt).toArray, _ => 1)
+    val m2 = new PartitionMatroid(xs, xs.map(_.id.toInt).toArray, _ => 1)
     val result = MatroidIntersection.augmentToMax(m1, m2, Euclidean, Vector.empty)
     assert(result.size == 10)
     val firstTwo = result.take(2).map(_.id).toSet

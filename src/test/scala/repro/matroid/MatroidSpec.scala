@@ -1,16 +1,14 @@
 package repro.matroid
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{PropSupport, TestGen}
+import repro.TestGen
 import repro.core.Element
 
-/** Partition-matroid axioms and predicate semantics. */
-class MatroidSpec extends AnyFunSuite with PropSupport {
+/** Partition-matroid axioms, asserted against `isIndependent`. */
+class MatroidSpec extends AnyFunSuite {
 
-  private def mkMatroid(xs: IndexedSeq[Element], caps: IndexedSeq[Int]): PartitionMatroid = {
-    val groupOf = xs.map(e => e.id -> e.group).toMap
-    new PartitionMatroid(xs, groupOf, caps)
-  }
+  private def mkMatroid(xs: IndexedSeq[Element], caps: IndexedSeq[Int]): PartitionMatroid =
+    new PartitionMatroid(xs, xs.map(_.group).toArray, caps)
 
   for (seed <- 1 to 8) {
     test(s"hereditary property: subsets of independent sets are independent (seed $seed)") {
@@ -55,27 +53,12 @@ class MatroidSpec extends AnyFunSuite with PropSupport {
     assert(mkMatroid(xs, IndexedSeq(1, 1)).isIndependent(Nil))
   }
 
-  test("canAdd reflects per-part capacity exactly") {
-    val xs = IndexedSeq(Element(0, 0, Array(0.0)), Element(1, 0, Array(1.0)), Element(2, 1, Array(2.0)))
-    val matroid = mkMatroid(xs, IndexedSeq(1, 1))
-    assert(matroid.canAdd(Set.empty[Long], xs(0)))
-    assert(!matroid.canAdd(Set(0L), xs(1)), "group 0 cap 1 exhausted")
-    assert(matroid.canAdd(Set(0L), xs(2)), "group 1 still open")
-  }
-
-  test("canSwap: same part ⇒ swappable, different part ⇒ not") {
-    val xs = IndexedSeq(Element(0, 0, Array(0.0)), Element(1, 0, Array(1.0)), Element(2, 1, Array(2.0)))
-    val matroid = mkMatroid(xs, IndexedSeq(1, 1))
-    assert(matroid.canSwap(Set(0L, 2L), xs(1), xs(0)), "swap within group 0")
-    assert(!matroid.canSwap(Set(0L, 2L), xs(1), xs(2)), "removing a group-1 element cannot fix group 0")
-  }
-
   test("cluster matroid (caps all 1) admits at most one element per cluster") {
     val xs = TestGen.randomElements(8, 4, 2, 5)
-    val clusterOf = xs.map(e => e.id -> (e.id % 3).toInt).toMap
+    val clusterOf = xs.map(e => (e.id % 3).toInt).toArray
     val matroid = new PartitionMatroid(xs, clusterOf, _ => 1)
-    val byCluster = xs.groupBy(e => clusterOf(e.id))
-    byCluster.values.filter(_.size >= 2).foreach { cl =>
+    val byCluster = xs.indices.groupBy(clusterOf).values.map(_.map(xs))
+    byCluster.filter(_.size >= 2).foreach { cl =>
       assert(!matroid.isIndependent(cl.take(2)))
       assert(matroid.isIndependent(cl.take(1)))
     }

@@ -4,8 +4,8 @@ import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestGen}
 import repro.core._
 
-/** Spark dataflow layer: conversions, and sequential vs distributed
-  * execution.
+/** Spark dataflow layer: conversions, and sequential execution against a
+  * local one-pass run.
   */
 class SparkFDMSpec extends SparkSpec {
 
@@ -36,26 +36,5 @@ class SparkFDMSpec extends SparkSpec {
     val bounds = DistanceBounds.exact(xs, Euclidean)
     val res = SparkFDM.runSequential(toDF(xs).repartition(8), new SFDM2(IndexedSeq(2, 2, 2), 0.1, bounds, Euclidean))
     assert(res.groupCounts == Map(0 -> 2, 1 -> 2, 2 -> 2))
-  }
-
-  test("runDistributed(SFDM2): per-partition coresets merge into a fair solution of comparable quality") {
-    val xs = TestGen.clusteredElements(400, 2, 2, 8, 5, minPerGroup = 50)
-    val bounds = DistanceBounds.exact(xs, Euclidean)
-    val ks = IndexedSeq(3, 3)
-    val mk = () => new SFDM2(ks, 0.1, bounds, Euclidean)
-    val dist = SparkFDM.runDistributed(toDF(xs).repartition(8), mk, mk())
-    val seqR = { val st = mk(); st.processAll(xs); st.finish() }
-    assert(dist.groupCounts == Map(0 -> 3, 1 -> 3))
-    assert(dist.diversity >= 0.4 * seqR.diversity,
-      s"distributed ${dist.diversity} collapsed vs sequential ${seqR.diversity}")
-  }
-
-  test("runDistributed(SFDM1) is fair on skewed groups") {
-    val rng = new scala.util.Random(9)
-    val xs = (0 until 300).map(i => Element(i.toLong, if (i % 7 == 0) 1 else 0, Array(rng.nextDouble() * 10, rng.nextDouble() * 10)))
-    val bounds = DistanceBounds.exact(xs, Euclidean)
-    val mk = () => new SFDM1(3, 3, 0.1, bounds, Euclidean)
-    val res = SparkFDM.runDistributed(toDF(xs).repartition(6), mk, mk())
-    assert(res.groupCounts == Map(0 -> 3, 1 -> 3))
   }
 }
