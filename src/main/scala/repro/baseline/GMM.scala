@@ -10,10 +10,14 @@ import repro.core.{Element, Metric}
   */
 object GMM {
 
-  /** Select k elements farthest-first, starting from `xs(startIdx)`. */
+  /** Select k elements farthest-first, starting from `xs(startIdx)`. An
+    * element with a non-finite feature, or with a feature count other than
+    * the first element's, is rejected with an `IllegalArgumentException`.
+    */
   def run(xs: IndexedSeq[Element], k: Int, metric: Metric, startIdx: Int = 0): Vector[Element] = {
     require(xs.nonEmpty, "empty input")
     require(k >= 1 && k <= xs.length, s"k=$k out of range for n=${xs.length}")
+    xs.foreach(Element.validate(_, xs.head.features.length))
     val n = xs.length
     val dist = Array.fill(n)(Double.PositiveInfinity)
     val sol = Vector.newBuilder[Element]

@@ -60,13 +60,10 @@ abstract class CandidateBank(
   }
 
   /** Rejects an arrival that failed [[process]]'s test, naming it, unless
-    * its features are finite and only their squares overflowed: a finite
-    * `sqNorm` implies finite features, so only these arrivals are scanned.
+    * its features are finite and only their squares overflowed. Kept out of
+    * line so that `process` stays small for the JIT.
     */
-  private def screen(x: Element): Unit = {
-    require(x.features.forall(java.lang.Double.isFinite(_)), s"element ${x.id} has a non-finite feature")
-    require(seen == 0 || x.features.length == dim, s"element ${x.id} has ${x.features.length} features, the first arrival had $dim")
-  }
+  private def screen(x: Element): Unit = Element.validate(x, if (seen == 0) -1 else dim)
 
   /** Blind candidates first, then each group's, dedup by id. */
   override def contents: IndexedSeq[Element] = distinct(blind.iterator ++ grp.iterator.flatMap(_.iterator))

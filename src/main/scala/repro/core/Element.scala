@@ -35,4 +35,16 @@ object Element {
     while (i < a.length) { s += a(i) * b(i); i += 1 }
     s
   }
+
+  /** Rejects `x` with an `IllegalArgumentException` naming its id if a
+    * feature is not finite or, for `dim` ≥ 0, if it does not have `dim`
+    * features (the first element's count). A finite `sqNorm` proves every
+    * feature finite, so only the rare element whose norm is not finite is
+    * scanned.
+    */
+  def validate(x: Element, dim: Int): Unit = {
+    require(java.lang.Double.isFinite(x.sqNorm) || x.features.forall(java.lang.Double.isFinite(_)),
+      s"element ${x.id} has a non-finite feature")
+    require(dim < 0 || x.features.length == dim, s"element ${x.id} has ${x.features.length} features, the first had $dim")
+  }
 }

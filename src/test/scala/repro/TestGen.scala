@@ -43,4 +43,21 @@ object TestGen {
     }
     throw new IllegalStateException("could not draw clustered elements")
   }
+
+  /** Topic vectors shaped like `Datasets.lyricsLike`'s: `dim` exponential
+    * draws, those of the element's two group topics (`j % 15` equal to g or
+    * to `(g + 7) % 15`) boosted ×8, normalized onto the simplex. Groups are
+    * uniform in [0,m).
+    */
+  def lyricsLikeElements(n: Int, m: Int, dim: Int, seed: Long): IndexedSeq[Element] = {
+    val rng = new Random(seed)
+    (0 until n).map { i =>
+      val g = rng.nextInt(m)
+      val raw = Array.tabulate(dim) { j =>
+        -math.log(rng.nextDouble() + 1e-12) * (if (j % 15 == g || (g + 7) % 15 == j % 15) 8.0 else 1.0)
+      }
+      val total = raw.sum
+      Element(i.toLong, g, raw.map(_ / total))
+    }
+  }
 }

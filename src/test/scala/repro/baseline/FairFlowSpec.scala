@@ -49,6 +49,12 @@ class FairFlowSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](FairFlow.run(xs, IndexedSeq(2, 1), Euclidean))
   }
 
+  test("rejects a non-finite feature through GMM, naming the element") {
+    val xs = TestGen.randomElements(20, 2, 2, 11, minPerGroup = 3) :+ Element(99, 1, Array(Double.PositiveInfinity, 0.0))
+    val e = intercept[IllegalArgumentException](FairFlow.run(xs, IndexedSeq(2, 2), Euclidean))
+    assert(e.getMessage.contains("element 99"), e.getMessage)
+  }
+
   test("deterministic in the input") {
     val xs = TestGen.randomElements(40, 3, 2, 3, minPerGroup = 4)
     val a = FairFlow.run(xs, IndexedSeq(2, 2, 2), Euclidean)

@@ -56,6 +56,14 @@ class GMMSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](GMM.run(xs, 5, Euclidean))
   }
 
+  test("rejects a non-finite feature and a feature-length mismatch, naming the element") {
+    val xs = TestGen.randomElements(6, 1, 2, 5)
+    for (bad <- Seq(Element(90, 0, Array(0.5, Double.NaN)), Element(91, 0, Array(0.5, 0.5, 0.5)))) {
+      val e = intercept[IllegalArgumentException](GMM.run(xs :+ bad, 3, Euclidean))
+      assert(e.getMessage.contains(s"element ${bad.id}"), e.getMessage)
+    }
+  }
+
   test("works with all metrics") {
     val xs = TestGen.randomElements(20, 1, 4, 10).map(e => e.copy(features = e.features.map(_ + 0.1)))
     for (metric <- Seq(Euclidean, Manhattan, repro.core.Angular)) {

@@ -61,4 +61,27 @@ class SolutionIdsSpec extends AnyFunSuite {
     val wrong = got.filterNot { case (name, actual) => nonEuclidean.get(name).contains(actual) }
     assert(wrong.isEmpty, wrong.map { case (name, a) => s""""$name" -> Seq(${a.mkString(", ")}),""" }.mkString("\n", "\n", ""))
   }
+
+  // Same-group topic vectors share boosted topics, so this instance has
+  // cosines on both sides of 0.5 (asserted below), and Angular's acos runs
+  // in both of its fdlibm ranges.
+  private val lyrics = TestGen.lyricsLikeElements(200, 3, 50, 2022L)
+
+  private val lyricsIds: Map[String, Seq[Long]] = Map(
+    "StreamingDM/lyrics" -> Seq(0, 2, 3, 12, 20, 31, 61),
+    "SFDM2/lyrics" -> Seq(0, 2, 3, 12, 20, 83, 147),
+  )
+
+  test("StreamingDM and SFDM2 under Angular select the pinned ids on lyrics-shaped topic vectors") {
+    val cosines = for (a <- lyrics; b <- lyrics if a.id < b.id)
+      yield Element.dot(a.features, b.features) / math.sqrt(a.sqNorm * b.sqNorm)
+    assert(cosines.exists(_ > 0.5) && cosines.exists(_ < 0.5))
+    val b = DistanceBounds.estimate(lyrics, Angular)
+    val got = Seq(
+      "StreamingDM/lyrics" -> ids(new StreamingDM(7, 0.1, b, Angular), lyrics),
+      "SFDM2/lyrics" -> ids(new SFDM2(IndexedSeq(1, 2, 4), 0.1, b, Angular), lyrics),
+    )
+    val wrong = got.filterNot { case (name, actual) => lyricsIds.get(name).contains(actual) }
+    assert(wrong.isEmpty, wrong.map { case (name, a) => s""""$name" -> Seq(${a.mkString(", ")}),""" }.mkString("\n", "\n", ""))
+  }
 }
