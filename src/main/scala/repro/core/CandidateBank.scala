@@ -1,21 +1,26 @@
 package repro.core
 
+import java.util.stream.IntStream
 import scala.collection.mutable
 
-/** The stream phase shared by Algorithm 1, SFDM1 and SFDM2.
+/** The stream phase and the post-processing frame shared by Algorithm 1,
+  * SFDM1 and SFDM2.
   *
   * Per guess `µ ∈ U` it keeps a group-blind candidate `S_µ` of capacity k
   * and, per group i, a candidate `S_µ,i` of capacity `groupCaps(i)`: none for
   * Algorithm 1, k_i for SFDM1, k for SFDM2. An arrival is offered to every
-  * blind candidate and to every candidate of its own group. The algorithms
-  * differ only in [[postProcess]].
+  * blind candidate and to every candidate of its own group. [[finish]] solves
+  * each guess of `U'` and picks the answer; the algorithms differ only in how
+  * they [[solve]] one guess.
   *
   * @param k         capacity of the blind candidates (the solution size)
   * @param groupCaps capacity of each group's candidates; empty for none
+  * @param quotas    k_i for each group; empty for Algorithm 1
   */
 abstract class CandidateBank(
     val k: Int,
     groupCaps: IndexedSeq[Int],
+    quotas: IndexedSeq[Int],
     eps: Double,
     bounds: DistanceBounds,
     metric: Metric,
@@ -27,8 +32,12 @@ abstract class CandidateBank(
   protected[core] val memo = new DistanceMemo(metric)
   protected val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, memo))
   // grp(i)(j): candidate for group i at guess j.
-  protected val grp: Array[Array[Candidate]] =
+  private val grp: Array[Array[Candidate]] =
     groupCaps.map(cap => guesses.map(mu => new Candidate(cap, mu, memo))).toArray
+  // Algorithm 1 has no groups: its blind candidates are its one part, with
+  // quota k. `U'` and the fallback read parts and their quotas.
+  private val parts = if (quotas.isEmpty) Array(blind) else grp
+  private val partQuotas = if (quotas.isEmpty) IndexedSeq(k) else quotas
 
   private var streamNs = 0L
   // Feature length of the arrivals so far, and `seen` = −1 once there has
@@ -69,43 +78,57 @@ abstract class CandidateBank(
   override def contents: IndexedSeq[Element] = distinct(blind.iterator ++ grp.iterator.flatMap(_.iterator))
 
   /** Elements of `cs` in iteration order, first occurrence of each id kept. */
-  protected def distinct(cs: Iterator[Candidate]): IndexedSeq[Element] = {
+  private def distinct(cs: Iterator[Candidate]): IndexedSeq[Element] = {
     val seen = mutable.LinkedHashMap.empty[Long, Element]
     cs.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e)))
     seen.values.toIndexedSeq
   }
 
-  /** `U'`: guesses whose blind candidate is full and whose group-i candidate
-    * holds at least `quotas(i)` elements.
+  /** `U'`: guesses whose blind candidate is full and whose part-i candidate
+    * holds at least `partQuotas(i)` elements.
     */
-  protected def eligible(quotas: IndexedSeq[Int]): IndexedSeq[Int] =
-    guesses.indices.filter(j => blind(j).isFull && quotas.indices.forall(i => grp(i)(j).size >= quotas(i)))
+  private def eligible: IndexedSeq[Int] =
+    guesses.indices.filter(j => blind(j).isFull && parts.indices.forall(i => parts(i)(j).size >= partQuotas(i)))
 
-  /** Degenerate case (no guess yielded a full fair set — ladder floor too high
-    * for the data): the first `quotas(i)` elements of each group candidate at
-    * the guess covering most of the quotas. The paper assumes this cannot
-    * happen; callers see it through `solution.size`.
+  /** Degenerate case (no fair set: a group below its quota, or a ladder
+    * floor too high for the data): the first `partQuotas(i)` elements of each
+    * part's candidate at the first guess covering most of the quotas.
     */
-  protected def fallback(quotas: IndexedSeq[Int]): Vector[Element] = {
-    val j = guesses.indices.maxBy(j => quotas.indices.map(i => math.min(grp(i)(j).size, quotas(i))).sum)
-    quotas.indices.flatMap(i => grp(i)(j).elements.take(quotas(i))).toVector
+  private def fallback: Vector[Element] = {
+    val j = guesses.indices.maxBy(j => parts.indices.map(i => math.min(parts(i)(j).size, partQuotas(i))).sum)
+    parts.indices.flatMap(i => parts(i)(j).elements.take(partQuotas(i))).toVector
   }
 
-  /** The algorithm's solution, built from the candidates; every distance it
-    * needs comes from `dist`.
+  /** The algorithm's set at guess `j`, built from `sAll`, the distinct
+    * elements of the guess's candidates. It reads only pairs within `sAll`
+    * from `dist`, and runs concurrently with the other guesses.
     */
-  protected def postProcess(dist: PairTable): Vector[Element]
+  protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element]
 
-  /** Post-processing and the reported `div(solution)` share one pair table.
-    * An empty stream has no solution whose diversity could be compared, so it
-    * is rejected rather than reported as +∞.
+  /** Solves the guesses of `U'` in parallel over a pre-filled pair table and
+    * returns the first max-div set of size k in guess order (Algorithm 1's
+    * Line 7), or the [[fallback]]. An empty stream has no solution whose
+    * diversity could be compared, so it is rejected rather than reported as
+    * +∞.
     */
   final override def finish(): FdmResult = {
     if (seen == 0) throw new IllegalStateException("the stream was empty: finish() before any arrival")
     val t0 = System.nanoTime()
     val dist = new PairTable(memo)
-    val sol = postProcess(dist)
+    val js = eligible
+    // Line 12: S_all = all candidates at the guess, dedup by id. Group
+    // candidates come first: Algorithm 4 walks the ground set in this order.
+    val sAlls = js.map(j => distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j))))
+    dist.fill(sAlls.map(_.iterator.map(dist.slotOf).toArray))
+    val filled = dist.evals
+    val solved = new Array[Vector[Element]](js.length)
+    IntStream.range(0, js.length).parallel().forEach(t => solved(t) = solve(js(t), sAlls(t), dist))
+    assert(dist.evals == filled, "a guess read a pair outside its S_all")
+    // Size k means every quota is met: SFDM1 balances to the quotas, and
+    // SFDM2's fairness matroid caps group i at k_i.
+    val fairSets = solved.filter(_.size == k)
+    val sol = if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, dist)) else fallback
     val post = System.nanoTime() - t0
-    FdmResult(sol, Diversity.div(sol, dist), storedElementCount, streamNs, post, memo.evals, dist.evals)
+    FdmResult(sol, Diversity.div(sol, dist), fairSets.nonEmpty, storedElementCount, streamNs, post, memo.evals, dist.evals)
   }
 }

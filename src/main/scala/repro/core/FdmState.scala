@@ -2,9 +2,11 @@ package repro.core
 
 /** Result of a (fair) diversity-maximization run.
   *
-  * @param solution       the selected subset (for fair algorithms,
-  *                       `|solution ∩ X_i| = k_i` for every group)
+  * @param solution       the selected subset
   * @param diversity      `div(solution)`
+  * @param fair           `|solution| = k` and, for SFDM1 and SFDM2,
+  *                       `|solution ∩ X_i| = k_i` for every group i; false
+  *                       when the fallback produced it
   * @param storedElements number of distinct elements the algorithm held in
   *                       memory (the paper's "#elem" column in Table II)
   * @param streamNanos    wall time of the one-pass stream-processing phase
@@ -16,6 +18,7 @@ package repro.core
 final case class FdmResult(
     solution: Vector[Element],
     diversity: Double,
+    fair: Boolean,
     storedElements: Int,
     streamNanos: Long,
     postNanos: Long,

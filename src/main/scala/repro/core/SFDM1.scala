@@ -20,16 +20,12 @@ final class SFDM1(
     eps: Double,
     bounds: DistanceBounds,
     metric: Metric,
-) extends CandidateBank(k1 + k2, IndexedSeq(k1, k2), eps, bounds, metric) {
+) extends CandidateBank(k1 + k2, IndexedSeq(k1, k2), IndexedSeq(k1, k2), eps, bounds, metric) {
   require(k1 >= 1 && k2 >= 1, s"group quotas must be ≥ 1, got ($k1, $k2)")
   private val ks = IndexedSeq(k1, k2)
 
-  override protected def postProcess(dist: PairTable): Vector[Element] = {
-    val uPrime = eligible(ks)
-    if (uPrime.isEmpty) fallback(ks)
-    else uPrime.map(j => SFDM1.balance(blind(j).elements, ks.indices.flatMap(grp(_)(j).elements), ks, dist))
-      .maxBy(Diversity.div(_, dist))
-  }
+  override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] =
+    SFDM1.balance(blind(j).elements, sAll, ks, dist)
 }
 
 object SFDM1 {

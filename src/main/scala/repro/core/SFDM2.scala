@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.stream.IntStream
 import repro.matroid.{MatroidIntersection, PartitionMatroid}
 import scala.collection.mutable
 
@@ -26,7 +25,7 @@ final class SFDM2(
     eps: Double,
     bounds: DistanceBounds,
     metric: Metric,
-) extends CandidateBank(ks.sum, IndexedSeq.fill(ks.length)(ks.sum), eps, bounds, metric) {
+) extends CandidateBank(ks.sum, IndexedSeq.fill(ks.length)(ks.sum), ks, eps, bounds, metric) {
   require(ks.nonEmpty && ks.forall(_ >= 1), s"group quotas must all be ≥ 1, got $ks")
   val m: Int = ks.length
 
@@ -57,7 +56,7 @@ final class SFDM2(
     * intersection (Lines 11, 13–18) over its `sAll` (Line 12). Returns the
     * augmented set (fair iff size k).
     */
-  private def solveGuess(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] = {
+  override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] = {
     val mu = guesses(j)
     // Line 11: from each group keep min(k_i, count) elements of S_µ (arbitrary
     // choice allowed — insertion order kept for determinism).
@@ -76,26 +75,5 @@ final class SFDM2(
     val s0 = sPrime.filter(e => usedCluster.add(cluster(m1.positionOf(e.id))))
     // Line 18 / Algorithm 4.
     MatroidIntersection.augmentToMax(m1, m2, dist, s0)
-  }
-
-  /** The guesses of U' are solved in parallel on the common fork-join pool.
-    * Every pair they read lies within one guess's `S_all`, and clustering
-    * reads them all, so `dist.fill` evaluates exactly those pairs first and
-    * the parallel phase only reads the table. Results are taken in guess
-    * order, so `maxBy` picks the same set as a sequential loop.
-    */
-  override protected def postProcess(dist: PairTable): Vector[Element] = {
-    val js = eligible(ks)
-    // Line 12: S_all = all candidates at the guess, dedup by id. Group
-    // candidates come first: Algorithm 4 walks the ground set in this order.
-    val sAlls = js.map(j => distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j))))
-    dist.fill(sAlls.map(_.iterator.map(dist.slotOf).toArray))
-    val filled = dist.evals
-    val solved = new Array[Vector[Element]](js.length)
-    IntStream.range(0, js.length).parallel().forEach(t => solved(t) = solveGuess(js(t), sAlls(t), dist))
-    assert(dist.evals == filled, "a guess read a pair outside its S_all")
-    val fairSets = solved.toIndexedSeq.filter(_.size == k)
-    if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, dist))
-    else fallback(ks)
   }
 }

@@ -4,13 +4,10 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core._
 
-/** Spark dataflow integration for the streaming FDM algorithms.
-  *
-  * Two execution modes over a `(id, group, features)` DataFrame:
-  *  1. [[runSequential]] — faithful one-pass driver-side execution via
-  *     `toLocalIterator` (the paper's streaming model verbatim);
-  *  2. `stream.StructuredFDM` — a Structured Streaming `foreachBatch` job,
-  *     in its own module.
+/** Conversions from a `(id, group, features)` DataFrame to [[Element]]s.
+  * The streaming FDM algorithms run on Spark through
+  * `stream.StructuredFDM`, a Structured Streaming `foreachBatch` job, or on
+  * collected elements through `FdmState.processAll`.
   */
 object SparkFDM {
 
@@ -29,14 +26,4 @@ object SparkFDM {
   /** Collect the whole DataFrame in its current order — test-scale only. */
   def collectElements(df: DataFrame): IndexedSeq[Element] =
     toDS(df).collect().map(_.toElement).toIndexedSeq
-
-  /** Faithful one-pass streaming run on the driver: elements cross in
-    * partition order through `toLocalIterator`, memory stays bounded by the
-    * state's candidates.
-    */
-  def runSequential(df: DataFrame, state: FdmState): FdmResult = {
-    val it = toDS(df).toLocalIterator()
-    while (it.hasNext) state.process(it.next().toElement)
-    state.finish()
-  }
 }

@@ -3,9 +3,10 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
 
-/** Input validation at ingestion: [[CandidateBank.process]] checks each
-  * arrival once, and [[CandidateBank.finish]] rejects an empty stream, for
-  * all three streaming algorithms.
+/** Input validation at ingestion and degenerate outcomes, for all three
+  * streaming algorithms: [[CandidateBank.process]] checks each arrival once,
+  * [[CandidateBank.finish]] rejects an empty stream, and a stream that no
+  * guess can serve gets the fallback, reported as not fair.
   */
 class CandidateBankSpec extends AnyFunSuite {
 
@@ -60,6 +61,44 @@ class CandidateBankSpec extends AnyFunSuite {
       assert(e.getMessage.contains("stream was empty"), e.getMessage)
       intercept[IllegalArgumentException](st.process(Element(105, 0, Array(Double.NaN, 0.0, 0.0))))
       intercept[IllegalStateException](st.finish())
+    }
+  }
+
+  // Group 1 cut down to its first two arrivals, below a quota of 4: no guess
+  // is eligible, so SFDM1 and SFDM2 fall back.
+  private val group1Short = {
+    val keep = xs.filter(_.group == 1).take(2).map(_.id).toSet
+    xs.filter(e => e.group == 0 || keep(e.id))
+  }
+
+  /** Runs `st` on `stream` and checks the solution's ids, in solution order,
+    * and its diversity.
+    */
+  private def pinned(st: FdmState, stream: IndexedSeq[Element], ids: Seq[Long], div: Double): FdmResult = {
+    st.processAll(stream)
+    val r = st.finish()
+    assert(r.solution.map(_.id) == ids && r.diversity == div, s"ids ${r.solution.map(_.id).mkString(", ")}, diversity ${r.diversity}")
+    r
+  }
+
+  test("StreamingDM on a stream shorter than k falls back to its first largest candidate") {
+    assert(!pinned(new StreamingDM(7, 0.1, bounds, Euclidean), xs.take(5), Seq(0, 1, 2, 3, 4), 0.27345731230739256).fair)
+  }
+
+  test("SFDM1 with a group smaller than its quota falls back to the guess covering most quotas") {
+    assert(!pinned(new SFDM1(2, 4, 0.1, bounds, Euclidean), group1Short, Seq(2, 3, 0, 1), 0.2953258864860237).fair)
+  }
+
+  test("SFDM2 with a group smaller than its quota falls back to the guess covering most quotas") {
+    assert(!pinned(new SFDM2(IndexedSeq(2, 4), 0.1, bounds, Euclidean), group1Short, Seq(2, 3, 0, 1), 0.2953258864860237).fair)
+  }
+
+  test("an ordinary run of each algorithm is fair: |S| = k and every quota met") {
+    banks.zip(Seq(Map.empty[Int, Int], Map(0 -> 2, 1 -> 2), Map(0 -> 2, 1 -> 2))).foreach { case (st, quotas) =>
+      st.processAll(xs)
+      val r = st.finish()
+      assert(r.fair && r.solution.size == st.k)
+      quotas.foreach { case (g, q) => assert(r.groupCounts.getOrElse(g, 0) == q) }
     }
   }
 }
