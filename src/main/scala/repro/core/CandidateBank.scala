@@ -8,10 +8,11 @@ import scala.collection.mutable
   *
   * Per guess `µ ∈ U` it keeps a group-blind candidate `S_µ` of capacity k
   * and, per group i, a candidate `S_µ,i` of capacity `groupCaps(i)`: none for
-  * Algorithm 1, k_i for SFDM1, k for SFDM2. An arrival is offered to every
-  * blind candidate and to every candidate of its own group. [[finish]] solves
-  * each guess of `U'` and picks the answer; the algorithms differ only in how
-  * they [[solve]] one guess.
+  * Algorithm 1, k_i for SFDM1, k for SFDM2. The blind candidates form one
+  * [[Part]] and each group's another. An arrival goes to the blind part and
+  * to its own group's, which offer it to those of their candidates that it
+  * can change. [[finish]] solves each guess of `U'` and picks the answer; the
+  * algorithms differ only in how they [[solve]] one guess.
   *
   * @param k         capacity of the blind candidates (the solution size)
   * @param groupCaps capacity of each group's candidates; empty for none
@@ -30,13 +31,11 @@ abstract class CandidateBank(
   val guesses: Array[Double] = GuessLadder(bounds.dmin, bounds.dmax, eps)
   // One memo for every candidate: an arrival meets each stored element once.
   protected[core] val memo = new DistanceMemo(metric)
-  protected val blind: Array[Candidate] = guesses.map(mu => new Candidate(k, mu, memo))
-  // grp(i)(j): candidate for group i at guess j.
-  private val grp: Array[Array[Candidate]] =
-    groupCaps.map(cap => guesses.map(mu => new Candidate(cap, mu, memo))).toArray
+  private[core] val blind = new Part(k, guesses, memo)
+  private[core] val groups: Array[Part] = groupCaps.map(cap => new Part(cap, guesses, memo)).toArray
   // Algorithm 1 has no groups: its blind candidates are its one part, with
   // quota k. `U'` and the fallback read parts and their quotas.
-  private val parts = if (quotas.isEmpty) Array(blind) else grp
+  private val parts = if (quotas.isEmpty) Array(blind) else groups
   private val partQuotas = if (quotas.isEmpty) IndexedSeq(k) else quotas
 
   private var streamNs = 0L
@@ -52,19 +51,14 @@ abstract class CandidateBank(
     * non-finite feature is rejected with an `IllegalArgumentException`.
     */
   override def process(x: Element): Unit = {
-    require(grp.isEmpty || (x.group >= 0 && x.group < grp.length), s"element ${x.id}: group ${x.group} out of range [0,${grp.length})")
+    require(groups.isEmpty || (x.group >= 0 && x.group < groups.length), s"element ${x.id}: group ${x.group} out of range [0,${groups.length})")
     val len = x.features.length
     if (((len ^ dim) & seen) != 0 || !java.lang.Double.isFinite(x.sqNorm)) screen(x)
     dim = len
     seen = -1
     val t0 = System.nanoTime()
-    val g = if (grp.isEmpty) null else grp(x.group)
-    var j = 0
-    while (j < blind.length) {
-      blind(j).tryAdd(x)
-      if (g != null) g(j).tryAdd(x)
-      j += 1
-    }
+    blind.offer(x)
+    if (groups.length > 0) groups(x.group).offer(x)
     streamNs += System.nanoTime() - t0
   }
 
@@ -75,12 +69,13 @@ abstract class CandidateBank(
   private def screen(x: Element): Unit = Element.validate(x, if (seen == 0) -1 else dim)
 
   /** Blind candidates first, then each group's, dedup by id. */
-  override def contents: IndexedSeq[Element] = distinct(blind.iterator ++ grp.iterator.flatMap(_.iterator))
+  override def contents: IndexedSeq[Element] =
+    distinct((blind +: groups).iterator.flatMap(p => guesses.indices.iterator.map(p.elements)))
 
   /** Elements of `cs` in iteration order, first occurrence of each id kept. */
-  private def distinct(cs: Iterator[Candidate]): IndexedSeq[Element] = {
+  private def distinct(cs: Iterator[IndexedSeq[Element]]): IndexedSeq[Element] = {
     val seen = mutable.LinkedHashMap.empty[Long, Element]
-    cs.foreach(_.elements.foreach(e => seen.getOrElseUpdate(e.id, e)))
+    cs.foreach(_.foreach(e => seen.getOrElseUpdate(e.id, e)))
     seen.values.toIndexedSeq
   }
 
@@ -88,15 +83,15 @@ abstract class CandidateBank(
     * holds at least `partQuotas(i)` elements.
     */
   private def eligible: IndexedSeq[Int] =
-    guesses.indices.filter(j => blind(j).isFull && parts.indices.forall(i => parts(i)(j).size >= partQuotas(i)))
+    guesses.indices.filter(j => blind.isFull(j) && parts.indices.forall(i => parts(i).size(j) >= partQuotas(i)))
 
   /** Degenerate case (no fair set: a group below its quota, or a ladder
     * floor too high for the data): the first `partQuotas(i)` elements of each
     * part's candidate at the first guess covering most of the quotas.
     */
   private def fallback: Vector[Element] = {
-    val j = guesses.indices.maxBy(j => parts.indices.map(i => math.min(parts(i)(j).size, partQuotas(i))).sum)
-    parts.indices.flatMap(i => parts(i)(j).elements.take(partQuotas(i))).toVector
+    val j = guesses.indices.maxBy(j => parts.indices.map(i => math.min(parts(i).size(j), partQuotas(i))).sum)
+    parts.indices.flatMap(i => parts(i).elements(j).take(partQuotas(i))).toVector
   }
 
   /** The algorithm's set at guess `j`, built from `sAll`, the distinct
@@ -109,16 +104,20 @@ abstract class CandidateBank(
     * returns the first max-div set of size k in guess order (Algorithm 1's
     * Line 7), or the [[fallback]]. An empty stream has no solution whose
     * diversity could be compared, so it is rejected rather than reported as
-    * +∞.
+    * +∞. Two or more arrivals whose points all coincide have no set of
+    * positive diversity; for k ≥ 2 that is seen, and rejected with an
+    * `IllegalArgumentException`.
     */
   final override def finish(): FdmResult = {
-    if (seen == 0) throw new IllegalStateException("the stream was empty: finish() before any arrival")
+    // The first arrival enters every blind candidate.
+    if (blind.size(0) == 0) throw new IllegalStateException("the stream was empty: finish() before any arrival")
+    require(!blind.coincident, "degenerate stream: all points coincide")
     val t0 = System.nanoTime()
     val dist = new PairTable(memo)
     val js = eligible
     // Line 12: S_all = all candidates at the guess, dedup by id. Group
     // candidates come first: Algorithm 4 walks the ground set in this order.
-    val sAlls = js.map(j => distinct(grp.iterator.map(_(j)) ++ Iterator.single(blind(j))))
+    val sAlls = js.map(j => distinct(groups.iterator.map(_.elements(j)) ++ Iterator.single(blind.elements(j))))
     dist.fill(sAlls.map(_.iterator.map(dist.slotOf).toArray))
     val filled = dist.evals
     val solved = new Array[Vector[Element]](js.length)
@@ -129,6 +128,7 @@ abstract class CandidateBank(
     val fairSets = solved.filter(_.size == k)
     val sol = if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, dist)) else fallback
     val post = System.nanoTime() - t0
-    FdmResult(sol, Diversity.div(sol, dist), fairSets.nonEmpty, storedElementCount, streamNs, post, memo.evals, dist.evals)
+    val offers = groups.foldLeft(blind.offers)(_ + _.offers)
+    FdmResult(sol, Diversity.div(sol, dist), fairSets.nonEmpty, storedElementCount, streamNs, post, memo.evals, offers, dist.evals)
   }
 }

@@ -12,6 +12,8 @@ package repro.core
   * @param streamNanos    wall time of the one-pass stream-processing phase
   * @param postNanos      wall time of the post-processing phase
   * @param streamEvals    metric evaluations of the stream phase
+  * @param streamOffers   candidates the stream phase offered an arrival to
+  *                       (see [[Part.offers]])
   * @param postEvals      metric evaluations of post-processing, including
   *                       the reported diversity
   */
@@ -23,6 +25,7 @@ final case class FdmResult(
     streamNanos: Long,
     postNanos: Long,
     streamEvals: Long = 0L,
+    streamOffers: Long = 0L,
     postEvals: Long = 0L,
 ) {
   def totalNanos: Long = streamNanos + postNanos

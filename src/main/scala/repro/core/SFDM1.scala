@@ -25,7 +25,7 @@ final class SFDM1(
   private val ks = IndexedSeq(k1, k2)
 
   override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] =
-    SFDM1.balance(blind(j).elements, sAll, ks, dist)
+    SFDM1.balance(blind.elements(j), sAll, ks, dist)
 }
 
 object SFDM1 {

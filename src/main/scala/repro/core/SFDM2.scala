@@ -60,7 +60,7 @@ final class SFDM2(
     val mu = guesses(j)
     // Line 11: from each group keep min(k_i, count) elements of S_µ (arbitrary
     // choice allowed — insertion order kept for determinism).
-    val byGroup = blind(j).elements.groupBy(_.group)
+    val byGroup = blind.elements(j).groupBy(_.group)
     val sPrime = (0 until m).flatMap { i =>
       byGroup.getOrElse(i, IndexedSeq.empty).take(ks(i))
     }

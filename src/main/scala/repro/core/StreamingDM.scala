@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
-
 /** Algorithm 1 — the streaming algorithm for *unconstrained* max-min
   * diversity maximization of Borassi et al. [7], with the improved
   * `(1-ε)/2` approximation ratio of Theorem 1.
@@ -19,9 +17,6 @@ final class StreamingDM(
 ) extends CandidateBank(k, IndexedSeq.empty, IndexedSeq.empty, eps, bounds, metric) {
   require(k >= 2, s"k must be ≥ 2, got $k")
 
-  /** All candidates, ascending in µ (exposed for tests). */
-  def candidates: IndexedSeq[Candidate] = ArraySeq.unsafeWrapArray(blind)
-
   override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] =
-    blind(j).elements.toVector
+    blind.elements(j).toVector
 }

@@ -3,10 +3,11 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
 
-/** Input validation at ingestion and degenerate outcomes, for all three
-  * streaming algorithms: [[CandidateBank.process]] checks each arrival once,
-  * [[CandidateBank.finish]] rejects an empty stream, and a stream that no
-  * guess can serve gets the fallback, reported as not fair.
+/** Input validation at ingestion, the candidates' invariants and degenerate
+  * outcomes, for all three streaming algorithms: [[CandidateBank.process]]
+  * checks each arrival once, [[CandidateBank.finish]] rejects an empty stream
+  * and one whose points all coincide, and a stream that no guess can serve
+  * gets the fallback, reported as not fair.
   */
 class CandidateBankSpec extends AnyFunSuite {
 
@@ -52,6 +53,42 @@ class CandidateBankSpec extends AnyFunSuite {
       st.process(Element(104, 0, Array(1e200, 0.0, 0.0)))
       st.processAll(xs)
       assert(st.contents.exists(_.id == 104))
+    }
+  }
+
+  test("every candidate of every part is µ-separated and within its capacity") {
+    banks.foreach { st =>
+      st.processAll(xs)
+      for (p <- st.blind +: st.groups; j <- st.guesses.indices) {
+        val es = p.elements(j)
+        assert(es.length <= p.cap, s"guess $j holds ${es.length} > ${p.cap}")
+        for (a <- es.indices; b <- a + 1 until es.length)
+          assert(Euclidean.dist(es(a), es(b)) >= st.guesses(j), s"guess $j: pair ($a,$b) violates µ=${st.guesses(j)}")
+      }
+    }
+  }
+
+  private val direct = DistanceBounds(0.1, 1.0)
+  private def directBanks: Seq[CandidateBank] = Seq(
+    new StreamingDM(4, 0.1, direct, Euclidean),
+    new SFDM1(2, 2, 0.1, direct, Euclidean),
+    new SFDM2(IndexedSeq(2, 2), 0.1, direct, Euclidean),
+  )
+
+  test("a stream whose points all coincide is rejected by finish(), with bounds not from estimate") {
+    val same = IndexedSeq.tabulate(6)(i => Element(i.toLong, i % 2, Array(0.3, 0.3, 0.3)))
+    directBanks.foreach { st =>
+      st.processAll(same)
+      val e = intercept[IllegalArgumentException](st.finish())
+      assert(e.getMessage.contains("all points coincide"), e.getMessage)
+    }
+  }
+
+  test("one arrival, or points closer than every guess that do not coincide, fall back instead") {
+    val close = IndexedSeq.tabulate(6)(i => Element(i.toLong, i % 2, Array(0.3, 0.3, 0.3 + 0.001 * i)))
+    for (stream <- Seq(close.take(1), close); st <- directBanks) {
+      st.processAll(stream)
+      assert(!st.finish().fair)
     }
   }
 

@@ -1,0 +1,147 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
+import scala.util.Try
+
+/** The stream phase of [[Part.offer]], which offers an arrival only to the
+  * live candidates and wakes dormant ones, against [[ReferenceBank]], which
+  * offers every arrival to every candidate, on adversarial streams. Both build
+  * the same candidates with the same evaluations, and `finish()` gives the
+  * same result, unless all points coincide, which only the bank rejects.
+  */
+class StreamPhaseSpec extends AnyFunSuite with PropSupport {
+
+  /** One stream and the bank to run it: `algo` 0 is Algorithm 1 with
+    * k = `ks.sum`, 1 is SFDM1, 2 is SFDM2.
+    */
+  final case class Case(algo: Int, ks: IndexedSeq[Int], metric: Metric, eps: Double, bounds: DistanceBounds, stream: IndexedSeq[Element]) {
+    def bank(): CandidateBank = algo match {
+      case 0 => new StreamingDM(ks.sum, eps, bounds, metric)
+      case 1 => new SFDM1(ks(0), ks(1), eps, bounds, metric)
+      case _ => new SFDM2(ks, eps, bounds, metric)
+    }
+    override def toString: String =
+      s"Case(algo $algo, ks $ks, ${metric.name}, eps $eps, $bounds, ${stream.map(e => s"${e.id}/g${e.group}/${e.features.mkString("(", ",", ")")}").mkString(" ")})"
+  }
+
+  private val quota = Gen.choose(1, 3)
+
+  /** Algorithm and quotas; Algorithm 1 needs k ≥ 2. */
+  private val algoGen: Gen[(Int, IndexedSeq[Int])] = Gen.oneOf(0, 1, 2).flatMap {
+    case 0 => Gen.choose(2, 5).map(k => (0, IndexedSeq(k)))
+    case 1 => Gen.zip(quota, quota).map { case (a, b) => (1, IndexedSeq(a, b)) }
+    case _ => Gen.choose(1, 3).flatMap(m => Gen.listOfN(m, quota)).map(ks => (2, ks.toIndexedSeq))
+  }
+
+  /** Features: uniform reals, or a 3×3×… lattice on which points coincide. */
+  private def featureGen(dim: Int, lattice: Boolean): Gen[Array[Double]] =
+    Gen.listOfN(dim, if (lattice) Gen.choose(0, 2).map(_ * 0.5) else Gen.choose(-1.0, 1.0)).map(_.toArray)
+
+  /** A case whose elements take groups from `groups` (the quotas' groups
+    * unless given) and whose stream `shape` then rearranges.
+    */
+  private def caseGen(
+      algos: Gen[(Int, IndexedSeq[Int])] = algoGen,
+      metrics: Gen[Metric] = Gen.oneOf(Euclidean, Manhattan, Angular),
+      lattice: Gen[Boolean] = Gen.oneOf(false, true),
+      groups: IndexedSeq[Int] => Gen[IndexedSeq[Int]] = ks => Gen.const(ks.indices),
+  )(shape: (IndexedSeq[Element], Metric) => Gen[IndexedSeq[Element]]): Gen[Case] = for {
+    (algo, ks) <- algos
+    metric <- metrics
+    eps <- Gen.oneOf(0.05, 0.1, 0.25)
+    dmin <- Gen.choose(0.02, 0.6)
+    ratio <- Gen.choose(1.0, 100.0)
+    n <- Gen.choose(1, 50)
+    dim <- Gen.choose(2, 3)
+    onLattice <- lattice
+    present <- groups(ks)
+    feats <- Gen.listOfN(n, featureGen(dim, onLattice))
+    gs <- Gen.listOfN(n, Gen.oneOf(present))
+    xs = feats.indices.map(i => Element(i.toLong, if (algo == 0) 0 else gs(i), feats(i))).toIndexedSeq
+    stream <- shape(xs, metric)
+  } yield Case(algo, ks, metric, eps, DistanceBounds(dmin, dmin * ratio), stream)
+
+  private def asIs(xs: IndexedSeq[Element], m: Metric): Gen[IndexedSeq[Element]] = Gen.const(xs)
+
+  /** Runs the bank and the reference on the case's stream and compares. */
+  private def agree(c: Case): Boolean = {
+    val st = c.bank()
+    val ref = c.bank()
+    c.stream.foreach(st.process)
+    val refOffers = c.stream.iterator.map(ReferenceBank.process(ref, _)).sum
+    for (((p, q), i) <- ((st.blind +: st.groups) zip (ref.blind +: ref.groups)).zipWithIndex; j <- st.guesses.indices)
+      assert(p.elements(j).map(_.id) == q.elements(j).map(_.id), s"part $i, guess $j")
+    assert(st.memo.evals == ref.memo.evals, "stream-phase evaluations")
+    val x0 = c.stream.head
+    val coincide = c.stream.length >= 2 && st.k >= 2 && c.stream.forall(x => c.metric.dist(x, x0) == 0.0)
+    val got = Try(st.finish())
+    if (coincide) {
+      val e = got.failed.get
+      assert(e.isInstanceOf[IllegalArgumentException] && e.getMessage.contains("all points coincide"), e.toString)
+    } else {
+      val want = Try(ref.finish())
+      assert(got.isSuccess == want.isSuccess, s"$got vs $want")
+      got.failed.foreach(e => assert(thrown(e) == thrown(want.failed.get)))
+      for (a <- got; b <- want) {
+        assert(a.solution.map(_.id) == b.solution.map(_.id), "solution ids")
+        assert(java.lang.Double.doubleToLongBits(a.diversity) == java.lang.Double.doubleToLongBits(b.diversity), s"diversity ${a.diversity} vs ${b.diversity}")
+        assert(a.fair == b.fair, "fair")
+        assert(a.streamEvals == b.streamEvals && a.postEvals == b.postEvals, "evaluations")
+        assert(a.streamOffers <= refOffers, s"${a.streamOffers} offers, the reference made $refOffers")
+      }
+    }
+    true
+  }
+
+  /** An exception as thrown where it arose: a parallel solve rethrows it on
+    * the calling thread wrapped in a copy of itself, depending on which
+    * thread ran the guess.
+    */
+  private def thrown(e: Throwable): String =
+    if (e.getCause != null && e.getCause.getClass == e.getClass) thrown(e.getCause) else e.toString
+
+  private def check(g: Gen[Case]): Unit = checkProp(Prop.forAll(g)(agree), minSuccessful = 400)
+
+  test("duplicate ids, as the same element again or with other features, give the reference's candidates and result") {
+    check(caseGen() { (xs, _) =>
+      Gen.listOfN(xs.length / 2 + 1, Gen.zip(Gen.oneOf(xs), Gen.choose(0, xs.length), Gen.oneOf(true, false))).map { dups =>
+        dups.foldLeft(xs) { case (s, (x, at, same)) =>
+          val y = if (same) x else Element(x.id, x.group, x.features.map(_ + 0.5))
+          s.patch(at, Seq(y), 0)
+        }
+      }
+    })
+  }
+
+  test("coincident points, and streams whose points all coincide, give the reference's candidates and result") {
+    check(caseGen(lattice = Gen.const(true)) { (xs, _) =>
+      Gen.oneOf(xs, xs.map(x => Element(x.id, x.group, xs.head.features.clone())))
+    })
+  }
+
+  test("a group that never arrives gives the reference's candidates and result") {
+    val withGroups = algoGen.suchThat(_._2.length >= 2)
+    check(caseGen(algos = withGroups, groups = ks => Gen.choose(0, ks.length - 1).map(absent => ks.indices.filter(_ != absent)))(asIs))
+  }
+
+  test("arrivals sorted by distance from the first, which wake one guess at a time, give the reference's candidates and result") {
+    check(caseGen(lattice = Gen.const(false)) { (xs, m) =>
+      Gen.const(xs.head +: xs.tail.sortBy(x => m.dist(x, xs.head)))
+    })
+  }
+
+  test("SFDM1 with a quota of 1, whose candidates of capacity 1 are never dormant, gives the reference's candidates and result") {
+    val quotaOne = Gen.oneOf((1, 1), (1, 2), (3, 1)).map { case (a, b) => (1, IndexedSeq(a, b)) }
+    check(caseGen(algos = quotaOne)(asIs))
+  }
+
+  test("Angular features whose squares overflow, which give NaN distances, give the reference's candidates and result") {
+    check(caseGen(metrics = Gen.const(Angular)) { (xs, _) =>
+      Gen.listOfN(xs.length, Gen.oneOf(false, false, true)).map { big =>
+        xs.indices.map(i => if (big(i)) Element(xs(i).id, xs(i).group, xs(i).features.map(_ * 1e200)) else xs(i))
+      }
+    })
+  }
+}

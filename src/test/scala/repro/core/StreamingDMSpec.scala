@@ -43,10 +43,10 @@ class StreamingDMSpec extends AnyFunSuite {
   test("every candidate S_µ is µ-separated after the stream") {
     val xs = TestGen.randomElements(50, 1, 3, 77)
     val (_, st) = runOn(xs, 4, 0.15)
-    st.candidates.foreach { c =>
-      val es = c.elements
+    st.guesses.indices.foreach { g =>
+      val es = st.blind.elements(g)
       for (i <- es.indices; j <- i + 1 until es.length)
-        assert(Euclidean.dist(es(i), es(j)) >= c.mu - 1e-12)
+        assert(Euclidean.dist(es(i), es(j)) >= st.guesses(g) - 1e-12)
     }
   }
 
@@ -54,7 +54,7 @@ class StreamingDMSpec extends AnyFunSuite {
     val xs = TestGen.randomElements(60, 1, 2, 31)
     val (_, st) = runOn(xs, 5, 0.1)
     // Not strictly monotone pointwise, but the smallest guess always fills first.
-    assert(st.candidates.head.size >= st.candidates.last.size)
+    assert(st.blind.size(0) >= st.blind.size(st.guesses.length - 1))
   }
 
   test("result is invariant in quality across permutations (guarantee, not identity)") {

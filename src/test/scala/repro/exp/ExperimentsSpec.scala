@@ -37,6 +37,16 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(measures.filterNot(mm => mm.algo.startsWith("SFDM")).forall(_.elems.isEmpty))
   }
 
+  test("runCell reports the fraction of fair runs for the streaming algorithms only") {
+    val xs = TestGen.randomElements(150, 2, 2, 9, minPerGroup = 20)
+    val measures = Experiments.runCell(xs, IndexedSeq(3, 3), Euclidean, eps = 0.1,
+      streamSeeds = Seq(1L, 2L), offlineSeeds = Seq(1L))
+    measures.foreach { mm =>
+      assert(mm.fairFrac == (if (mm.algo.startsWith("SFDM")) Some(1.0) else None), mm.fmt)
+      assert(mm.fmt.contains("fair="))
+    }
+  }
+
   test("runCell for m=4 skips the m=2-only algorithms") {
     val xs = TestGen.randomElements(200, 4, 2, 10, minPerGroup = 20)
     val measures = Experiments.runCell(xs, IndexedSeq(2, 2, 2, 2), Euclidean, eps = 0.1,
