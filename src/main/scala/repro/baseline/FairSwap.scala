@@ -9,13 +9,14 @@ import repro.core.{Element, Metric, SFDM1}
   * from the *entire* group (random access over all of X — this is what makes
   * it offline and O(nk)) and deleting the over-filled group's point closest
   * to the under-filled group's points — SFDM1's [[SFDM1.balance]] with the
-  * whole of X as the pool.
+  * whole of X as the pool, on positions in X.
   */
 object FairSwap {
 
   def run(xs: IndexedSeq[Element], k1: Int, k2: Int, metric: Metric): Vector[Element] = {
     require(xs.forall(e => e.group == 0 || e.group == 1), "FairSwap requires groups in {0,1}")
     require(xs.count(_.group == 0) >= k1 && xs.count(_.group == 1) >= k2, "quotas infeasible")
-    SFDM1.balance(GMM.run(xs, k1 + k2, metric), xs, IndexedSeq(k1, k2), metric)
+    val s = SFDM1.balance(GMM.picks(xs, k1 + k2, metric), xs.indices, IndexedSeq(k1, k2), xs, (i, j) => metric.dist(xs(i), xs(j)))
+    s.iterator.map(xs).toVector
   }
 }

@@ -14,15 +14,19 @@ object GMM {
     * element with a non-finite feature, or with a feature count other than
     * the first element's, is rejected with an `IllegalArgumentException`.
     */
-  def run(xs: IndexedSeq[Element], k: Int, metric: Metric, startIdx: Int = 0): Vector[Element] = {
+  def run(xs: IndexedSeq[Element], k: Int, metric: Metric, startIdx: Int = 0): Vector[Element] =
+    picks(xs, k, metric, startIdx).map(xs)
+
+  /** The positions in `xs` that [[run]] selects, in selection order. */
+  def picks(xs: IndexedSeq[Element], k: Int, metric: Metric, startIdx: Int = 0): Vector[Int] = {
     require(xs.nonEmpty, "empty input")
     require(k >= 1 && k <= xs.length, s"k=$k out of range for n=${xs.length}")
     xs.foreach(Element.validate(_, xs.head.features.length))
     val n = xs.length
     val dist = Array.fill(n)(Double.PositiveInfinity)
-    val sol = Vector.newBuilder[Element]
+    val sol = Vector.newBuilder[Int]
     var last = startIdx
-    sol += xs(last)
+    sol += last
     dist(last) = Double.NegativeInfinity // never re-pick the start element
     var picked = 1
     while (picked < k) {
@@ -36,7 +40,7 @@ object GMM {
         i += 1
       }
       last = bestIdx
-      sol += xs(last)
+      sol += last
       dist(last) = Double.NegativeInfinity // never re-pick
       picked += 1
     }

@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.stream.IntStream
-import scala.collection.mutable
 
 /** The stream phase and the post-processing frame shared by Algorithm 1,
   * SFDM1 and SFDM2.
@@ -12,7 +11,9 @@ import scala.collection.mutable
   * [[Part]] and each group's another. An arrival goes to the blind part and
   * to its own group's, which offer it to those of their candidates that it
   * can change. [[finish]] solves each guess of `U'` and picks the answer; the
-  * algorithms differ only in how they [[solve]] one guess.
+  * algorithms differ only in how they [[solve]] one guess. Post-processing
+  * names a stored element by its [[DistanceMemo]] slot; only the answer is
+  * turned back into elements.
   *
   * @param k         capacity of the blind candidates (the solution size)
   * @param groupCaps capacity of each group's candidates; empty for none
@@ -68,16 +69,12 @@ abstract class CandidateBank(
     */
   private def screen(x: Element): Unit = Element.validate(x, if (seen == 0) -1 else dim)
 
-  /** Blind candidates first, then each group's, dedup by id. */
-  override def contents: IndexedSeq[Element] =
-    distinct((blind +: groups).iterator.flatMap(p => guesses.indices.iterator.map(p.elements)))
+  /** The stored elements in slot order: every slot is handed out at a
+    * candidate's admission, and candidates are insert-only.
+    */
+  override def contents: IndexedSeq[Element] = IndexedSeq.tabulate(memo.size)(memo.element)
 
-  /** Elements of `cs` in iteration order, first occurrence of each id kept. */
-  private def distinct(cs: Iterator[IndexedSeq[Element]]): IndexedSeq[Element] = {
-    val seen = mutable.LinkedHashMap.empty[Long, Element]
-    cs.foreach(_.foreach(e => seen.getOrElseUpdate(e.id, e)))
-    seen.values.toIndexedSeq
-  }
+  override def storedElementCount: Int = memo.size
 
   /** `U'`: guesses whose blind candidate is full and whose part-i candidate
     * holds at least `partQuotas(i)` elements.
@@ -89,16 +86,26 @@ abstract class CandidateBank(
     * floor too high for the data): the first `partQuotas(i)` elements of each
     * part's candidate at the first guess covering most of the quotas.
     */
-  private def fallback: Vector[Element] = {
+  private def fallback: Array[Int] = {
     val j = guesses.indices.maxBy(j => parts.indices.map(i => math.min(parts(i).size(j), partQuotas(i))).sum)
-    parts.indices.flatMap(i => parts(i).elements(j).take(partQuotas(i))).toVector
+    parts.indices.toArray.flatMap(i => parts(i).slots(j).take(partQuotas(i)))
   }
 
-  /** The algorithm's set at guess `j`, built from `sAll`, the distinct
-    * elements of the guess's candidates. It reads only pairs within `sAll`
-    * from `dist`, and runs concurrently with the other guesses.
+  /** Line 12: `S_all`, the distinct slots of guess j's candidates, group
+    * candidates first (Algorithm 4 walks the ground set in this order), each
+    * slot where it first occurs. `seen` is all clear on entry and on exit.
     */
-  protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element]
+  private def sAll(j: Int, seen: java.util.BitSet): Array[Int] = {
+    val all = (groups :+ blind).flatMap(_.slots(j)).filter { s => val fresh = !seen.get(s); seen.set(s); fresh }
+    all.foreach(seen.clear)
+    all
+  }
+
+  /** The algorithm's set at guess `j`, as slots, built from `sAll`, the
+    * distinct slots of the guess's candidates. It reads only pairs within
+    * `sAll` from `dist`, and runs concurrently with the other guesses.
+    */
+  protected def solve(j: Int, sAll: Array[Int], dist: PairTable): Array[Int]
 
   /** Solves the guesses of `U'` in parallel over a pre-filled pair table and
     * returns the first max-div set of size k in guess order (Algorithm 1's
@@ -115,20 +122,21 @@ abstract class CandidateBank(
     val t0 = System.nanoTime()
     val dist = new PairTable(memo)
     val js = eligible
-    // Line 12: S_all = all candidates at the guess, dedup by id. Group
-    // candidates come first: Algorithm 4 walks the ground set in this order.
-    val sAlls = js.map(j => distinct(groups.iterator.map(_.elements(j)) ++ Iterator.single(blind.elements(j))))
-    dist.fill(sAlls.map(_.iterator.map(dist.slotOf).toArray))
+    val seen = new java.util.BitSet(memo.size)
+    val sAlls = js.map(sAll(_, seen))
+    dist.fill(sAlls)
     val filled = dist.evals
-    val solved = new Array[Vector[Element]](js.length)
+    val solved = new Array[Array[Int]](js.length)
     IntStream.range(0, js.length).parallel().forEach(t => solved(t) = solve(js(t), sAlls(t), dist))
     assert(dist.evals == filled, "a guess read a pair outside its S_all")
     // Size k means every quota is met: SFDM1 balances to the quotas, and
     // SFDM2's fairness matroid caps group i at k_i.
-    val fairSets = solved.filter(_.size == k)
-    val sol = if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, dist)) else fallback
+    val fairSets = solved.filter(_.length == k)
+    val at: (Int, Int) => Double = dist.at
+    val sol = if (fairSets.nonEmpty) fairSets.maxBy(Diversity.div(_, at)) else fallback
     val post = System.nanoTime() - t0
+    val div = Diversity.div(sol, at)
     val offers = groups.foldLeft(blind.offers)(_ + _.offers)
-    FdmResult(sol, Diversity.div(sol, dist), fairSets.nonEmpty, storedElementCount, streamNs, post, memo.evals, offers, dist.evals)
+    FdmResult(sol.iterator.map(memo.element).toVector, div, fairSets.nonEmpty, memo.size, streamNs, post, memo.evals, offers, dist.evals)
   }
 }

@@ -1,14 +1,14 @@
 package repro.core
 
 import java.util.stream.IntStream
-import scala.collection.mutable
 
 /** The stream phase's distance cache, shared by every candidate of one
   * [[CandidateBank]].
   *
-  * An element gets a dense slot the first time any candidate admits it, and
-  * candidates store slots. Candidates are insert-only, so a slot is never
-  * recycled. For the current arrival x the memo keeps `d(x, element(slot))`
+  * An arrival gets a dense slot the first time any candidate admits it, and
+  * candidates store slots: the slot, not the id, identifies a stored
+  * element. Candidates are insert-only, so a slot is never recycled, and
+  * `size` is the number of stored elements. For the current arrival x the memo keeps `d(x, element(slot))`
   * in an array indexed by slot and stamped with the arrival's epoch: the
   * blind and group candidates of every guess share one evaluation per stored
   * element. A miss calls `metric.dist(x, stored)`, arrival first, exactly as
@@ -65,31 +65,22 @@ final class DistanceMemo(val metric: Metric) extends Serializable {
 }
 
 /** Every post-processing distance of one `finish()`: a lazily filled,
-  * symmetric table over the slots of a [[DistanceMemo]], so each pair of
-  * stored elements is evaluated at most once.
+  * symmetric table over the slots of a [[DistanceMemo]], read by slot with
+  * [[at]], so each pair of stored elements is evaluated at most once.
   *
   * One triangle is stored, which is exact because [[Metric]] symmetry holds
   * bit for bit. An unfilled cell holds −1.0: a metric is nonnegative, and a
   * NaN distance is stored and served like any other value.
   */
-final class PairTable(memo: DistanceMemo) extends Distance {
+final class PairTable(memo: DistanceMemo) {
   private val n = memo.size
   require(n.toLong * (n - 1) / 2 <= Int.MaxValue, s"$n stored elements are too many for one pair table")
   private val cells = new Array[Double](n * (n - 1) / 2)
   java.util.Arrays.fill(cells, -1.0)
-  private val slotById = {
-    val m = mutable.LongMap.empty[Int]
-    var s = n - 1
-    while (s >= 0) { m(memo.element(s).id) = s; s -= 1 } // the first slot of an id wins
-    m
-  }
   private var misses = 0L
 
   /** Metric evaluations made so far. */
   def evals: Long = misses
-
-  /** Slot of a stored element. */
-  def slotOf(e: Element): Int = slotById(e.id)
 
   /** Distance between the elements in slots i and j (the triangle has no
     * diagonal, so i = j is computed, not stored).
@@ -106,8 +97,6 @@ final class PairTable(memo: DistanceMemo) extends Distance {
       d
     }
   }
-
-  override def apply(a: Element, b: Element): Double = at(slotOf(a), slotOf(b))
 
   /** Fill, on the common fork-join pool, every unfilled cell whose two slots
     * both lie in one of `sets` (arrays of slots). Each slot carries a bitmask

@@ -2,8 +2,12 @@ package repro.core
 
 /** A stream element: a point in a metric space tagged with its demographic group.
   *
-  * @param id       unique identifier (stable across permutations of the stream;
-  *                 used for deduplication and deterministic tie-breaking)
+  * @param id       a label, stable across permutations of the stream, that the
+  *                 algorithms read only to break ties deterministically and to
+  *                 name an element in messages. They identify a stored element
+  *                 by its arrival (its [[DistanceMemo]] slot), not by its id:
+  *                 a stream that repeats an id can return two elements with
+  *                 that id.
   * @param group    0-based group index in `[0, m)` assigned by the sensitive
   *                 attribute (the paper's `c(x)`)
   * @param features coordinate vector; its interpretation depends on the
@@ -15,8 +19,9 @@ final case class Element(id: Long, group: Int, features: Array[Double]) {
     */
   val sqNorm: Double = Element.dot(features, features)
 
-  /** Identity by id only: feature arrays use reference equality by default,
-    * and a stream never contains two distinct elements with the same id.
+  /** Equality by id only: feature arrays use reference equality by default.
+    * The algorithms do not compare elements; this serves callers whose ids
+    * are unique.
     */
   override def equals(other: Any): Boolean = other match {
     case e: Element => e.id == id

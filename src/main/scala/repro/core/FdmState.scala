@@ -7,8 +7,8 @@ package repro.core
   * @param fair           `|solution| = k` and, for SFDM1 and SFDM2,
   *                       `|solution ∩ X_i| = k_i` for every group i; false
   *                       when the fallback produced it
-  * @param storedElements number of distinct elements the algorithm held in
-  *                       memory (the paper's "#elem" column in Table II)
+  * @param storedElements number of elements the algorithm held in memory
+  *                       (the paper's "#elem" column in Table II)
   * @param streamNanos    wall time of the one-pass stream-processing phase
   * @param postNanos      wall time of the post-processing phase
   * @param streamEvals    metric evaluations of the stream phase
@@ -28,8 +28,7 @@ final case class FdmResult(
     streamOffers: Long = 0L,
     postEvals: Long = 0L,
 ) {
-  def totalNanos: Long = streamNanos + postNanos
-  def totalSeconds: Double = totalNanos / 1e9
+  def totalSeconds: Double = (streamNanos + postNanos) / 1e9
 
   /** Group histogram of the solution — fairness checks read this. */
   def groupCounts: Map[Int, Int] = solution.groupBy(_.group).view.mapValues(_.size).toMap
@@ -56,7 +55,7 @@ trait FdmState extends Serializable {
     */
   def finish(): FdmResult
 
-  /** Distinct elements currently stored across all candidates. */
+  /** The elements currently stored across all candidates, each once. */
   def contents: IndexedSeq[Element]
 
   /** `|contents|`: the memory figure reported as [[FdmResult.storedElements]]. */

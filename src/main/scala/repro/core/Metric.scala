@@ -1,13 +1,5 @@
 package repro.core
 
-/** The distance between two elements, as the diversity objective and the
-  * post-processing routines read it: a [[Metric]], or a [[PairTable]] that
-  * serves a metric's values for the stored elements from a cache.
-  */
-trait Distance {
-  def apply(a: Element, b: Element): Double
-}
-
 /** A distance metric on feature vectors: nonnegative, symmetric, and
   * satisfying the triangle inequality (all three are property-tested).
   *
@@ -19,7 +11,7 @@ trait Distance {
   * (CelebA, Census), and Angular (Lyrics); every algorithm here is generic
   * over this trait, as in the paper.
   */
-sealed trait Metric extends Distance with Serializable {
+sealed trait Metric extends Serializable {
   /** Distance between two feature vectors of equal length. */
   def dist(a: Array[Double], b: Array[Double]): Double
 
@@ -30,7 +22,7 @@ sealed trait Metric extends Distance with Serializable {
     */
   def dist(a: Element, b: Element): Double
 
-  final override def apply(a: Element, b: Element): Double = dist(a, b)
+  final def apply(a: Element, b: Element): Double = dist(a, b)
 
   /** Short display name for tables and logs. */
   def name: String

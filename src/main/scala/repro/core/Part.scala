@@ -9,8 +9,9 @@ package repro.core
   * stored element is at least µ (Lines 5–6 of Algorithm 1). The invariant
   * `div(S_µ) ≥ µ` therefore holds at all times, which Theorem 1 and Lemmas
   * 1–4 rely on. Candidate j keeps the [[DistanceMemo]] slots of its elements,
-  * in insertion order, at `slots(j·cap)` onwards, and reads distances through
-  * the memo, which every part of a bank shares.
+  * in insertion order, at `held(j·cap)` onwards, and reads distances through
+  * the memo, which every part of a bank shares. A slot is a stored element's
+  * identity, from its admission to the answer.
   *
   * [[offer]] reaches only the candidates an arrival can change. The part's
   * first arrival x₀ enters every candidate. After it, each candidate is one of:
@@ -34,7 +35,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   require(mus.length.toLong * cap <= Int.MaxValue, s"${mus.length} candidates of capacity $cap are too many for one part")
 
   private val g = mus.length
-  private val slots = new Array[Int](g * cap)
+  private val held = new Array[Int](g * cap)
   private val sizes = new Array[Int](g)
   private val live = new Array[Int](g)
   private var nLive = 0
@@ -47,11 +48,8 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   def size(j: Int): Int = sizes(j)
   def isFull(j: Int): Boolean = sizes(j) >= cap
 
-  /** Stored elements of candidate j in insertion order (a fresh copy). */
-  def elements(j: Int): IndexedSeq[Element] = {
-    val b = j * cap
-    IndexedSeq.tabulate(sizes(j))(i => memo.element(slots(b + i)))
-  }
+  /** Slots of candidate j's elements in insertion order (a fresh copy). */
+  def slots(j: Int): Array[Int] = java.util.Arrays.copyOfRange(held, j * cap, j * cap + sizes(j))
 
   /** Candidates the arrivals were offered to: each candidate at the first
     * arrival, then each live candidate scanned and each dormant one woken.
@@ -80,7 +78,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
     var best = Double.PositiveInfinity
     var i = 0
     while (i < n) {
-      val d = memo.dist(slots(b + i))
+      val d = memo.dist(held(b + i))
       if (d < best) {
         best = d
         if (best < mu) return best // early exit: rejection already decided
@@ -93,7 +91,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   /** Stores the current arrival in candidate j, which must have room. */
   def add(j: Int): Unit = {
     val n = sizes(j)
-    slots(j * cap + n) = memo.admit()
+    held(j * cap + n) = memo.admit()
     sizes(j) = n + 1
   }
 
@@ -116,7 +114,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   private def first(): Unit = {
     var j = 0
     while (j < g) { add(j); j += 1 }
-    x0 = slots(0)
+    x0 = held(0)
     offered += g
     lo = if (cap > 1) 0 else g
   }

@@ -24,37 +24,47 @@ final class SFDM1(
   require(k1 >= 1 && k2 >= 1, s"group quotas must be ≥ 1, got ($k1, $k2)")
   private val ks = IndexedSeq(k1, k2)
 
-  override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] =
-    SFDM1.balance(blind.elements(j), sAll, ks, dist)
+  override protected def solve(j: Int, sAll: Array[Int], dist: PairTable): Array[Int] =
+    SFDM1.balance(blind.slots(j), sAll, ks, memo.element, dist.at)
 }
 
 object SFDM1 {
 
-  /** The swap balance of SFDM1 (Lines 11–17) and FairSwap for m = 2 groups.
+  /** The swap balance of SFDM1 (Lines 11–17) and FairSwap for m = 2 groups,
+    * on integer handles: memo slots for SFDM1, positions in the input for
+    * FairSwap. `elem` gives a handle's element (its group and, for ties, its
+    * id) and `dist` the distance between two handles.
+    *
     * If group `iu` holds fewer than `ks(iu)` elements of `s`, insert `pool`
-    * elements of group `iu` farthest-first from the group-`iu` elements
-    * already in `s` (GMM-style; distance to the empty set is +∞, ties go to
-    * the smaller id), then delete the other group's elements closest to
-    * group `iu`'s until `|s| = Σ ks`. A balanced `s` is returned unchanged.
+    * handles of group `iu` that are not in `s`, farthest-first from the
+    * group-`iu` handles already in `s` (GMM-style; distance to the empty set
+    * is +∞, ties go to the smaller id), then delete the other group's handles
+    * closest to group `iu`'s until `|s| = Σ ks`. A balanced `s` is returned
+    * unchanged.
     */
-  def balance(s0: Seq[Element], pool: Seq[Element], ks: IndexedSeq[Int], dist: Distance): Vector[Element] = {
+  def balance(s0: Iterable[Int], pool: Iterable[Int], ks: IndexedSeq[Int], elem: Int => Element, dist: (Int, Int) => Double): Array[Int] = {
     val s = mutable.ArrayBuffer.from(s0)
-    ks.indices.find(i => s.count(_.group == i) < ks(i)) match {
-      case None => s.toVector
+    // d(x, set); +∞ for the empty set.
+    def toSet(x: Int, set: Iterable[Int]): Double = set.foldLeft(Double.PositiveInfinity) { (best, y) =>
+      val d = dist(x, y)
+      if (d < best) d else best
+    }
+    ks.indices.find(i => s.count(elem(_).group == i) < ks(i)) match {
+      case None => s.toArray
       case Some(iu) =>
-        val poolLeft = mutable.ArrayBuffer.from(pool.filter(e => e.group == iu && !s.exists(_.id == e.id)))
-        while (s.count(_.group == iu) < ks(iu)) {
-          val inGroup = s.filter(_.group == iu)
-          val pick = poolLeft.maxBy(x => (Diversity.distToSet(x, inGroup, dist), -x.id))
+        val poolLeft = mutable.ArrayBuffer.from(pool.filter(x => elem(x).group == iu && !s.contains(x)))
+        while (s.count(elem(_).group == iu) < ks(iu)) {
+          val inGroup = s.filter(elem(_).group == iu)
+          val pick = poolLeft.maxBy(x => (toSet(x, inGroup), -elem(x).id))
           s += pick
           poolLeft -= pick
         }
-        val inGroupU = s.filter(_.group == iu)
+        val inGroupU = s.filter(elem(_).group == iu)
         while (s.length > ks.sum) {
-          val victim = s.filter(_.group != iu).minBy(x => (Diversity.distToSet(x, inGroupU, dist), x.id))
+          val victim = s.filter(elem(_).group != iu).minBy(x => (toSet(x, inGroupU), elem(x).id))
           s -= victim
         }
-        s.toVector
+        s.toArray
     }
   }
 }

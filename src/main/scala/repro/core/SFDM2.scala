@@ -29,14 +29,12 @@ final class SFDM2(
   require(ks.nonEmpty && ks.forall(_ >= 1), s"group quotas must all be ≥ 1, got $ks")
   val m: Int = ks.length
 
-  /** Single-linkage clustering of the stored elements `sAll` at threshold
-    * µ/(m+1) (Lines 13–16) via union-find, reading `dist` by slot. Returns a
-    * cluster id for each position of `sAll`.
+  /** Single-linkage clustering of the positions `0 until n` at threshold
+    * µ/(m+1) (Lines 13–16) via union-find, under a distance between
+    * positions. Returns a cluster id for each position.
     */
-  private[core] def clusterIds(sAll: IndexedSeq[Element], mu: Double, dist: PairTable): Array[Int] = {
+  private[core] def clusterIds(n: Int, mu: Double, dist: (Int, Int) => Double): Array[Int] = {
     val thr = mu / (m + 1)
-    val n = sAll.length
-    val slot = Array.tabulate(n)(i => dist.slotOf(sAll(i)))
     val parent = Array.tabulate(n)(identity)
     def find(a: Int): Int = { var r = a; while (parent(r) != r) r = parent(r); var c = a; while (parent(c) != c) { val nx = parent(c); parent(c) = r; c = nx }; r }
     def union(a: Int, b: Int): Unit = { val ra = find(a); val rb = find(b); if (ra != rb) parent(rb) = ra }
@@ -44,7 +42,7 @@ final class SFDM2(
     while (i < n) {
       var j = i + 1
       while (j < n) {
-        if (dist.at(slot(i), slot(j)) < thr) union(i, j)
+        if (dist(i, j) < thr) union(i, j)
         j += 1
       }
       i += 1
@@ -53,27 +51,26 @@ final class SFDM2(
   }
 
   /** Post-process one guess: initial partial solution, clusters, matroid
-    * intersection (Lines 11, 13–18) over its `sAll` (Line 12). Returns the
-    * augmented set (fair iff size k).
+    * intersection (Lines 11, 13–18) over the positions of its `sAll`
+    * (Line 12). Returns the augmented set as slots (fair iff size k).
     */
-  override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] = {
+  override protected def solve(j: Int, sAll: Array[Int], dist: PairTable): Array[Int] = {
     val mu = guesses(j)
+    val at = (a: Int, b: Int) => dist.at(sAll(a), sAll(b))
     // Line 11: from each group keep min(k_i, count) elements of S_µ (arbitrary
     // choice allowed — insertion order kept for determinism).
-    val byGroup = blind.elements(j).groupBy(_.group)
-    val sPrime = (0 until m).flatMap { i =>
-      byGroup.getOrElse(i, IndexedSeq.empty).take(ks(i))
-    }
+    val blindSlots = blind.slots(j)
+    val sPrime = (0 until m).flatMap(i => blindSlots.filter(memo.element(_).group == i).take(ks(i)))
     // Lines 13–16: clusters.
-    val cluster = clusterIds(sAll, mu, dist)
+    val cluster = clusterIds(sAll.length, mu, at)
     // Line 17: M1 = fairness partition matroid, M2 = cluster partition matroid.
-    val m1 = new PartitionMatroid(sAll, sAll.iterator.map(_.group).toArray, ks)
-    val m2 = new PartitionMatroid(sAll, cluster, _ => 1)
+    val m1 = new PartitionMatroid(sAll.map(memo.element(_).group), ks)
+    val m2 = new PartitionMatroid(cluster, _ => 1)
     // Defensive: Lemma 3(ii) guarantees S'_µ ∈ I₂; enforce it anyway so a
     // pathological guess can never crash the augmentation.
     val usedCluster = mutable.Set.empty[Int]
-    val s0 = sPrime.filter(e => usedCluster.add(cluster(m1.positionOf(e.id))))
+    val s0 = sPrime.map(sAll.indexOf(_)).filter(p => usedCluster.add(cluster(p)))
     // Line 18 / Algorithm 4.
-    MatroidIntersection.augmentToMax(m1, m2, dist, s0)
+    MatroidIntersection.augmentToMax(m1, m2, at, p => memo.element(sAll(p)).id, s0).map(sAll(_))
   }
 }

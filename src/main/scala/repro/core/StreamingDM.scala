@@ -17,6 +17,5 @@ final class StreamingDM(
 ) extends CandidateBank(k, IndexedSeq.empty, IndexedSeq.empty, eps, bounds, metric) {
   require(k >= 2, s"k must be ≥ 2, got $k")
 
-  override protected def solve(j: Int, sAll: IndexedSeq[Element], dist: PairTable): Vector[Element] =
-    blind.elements(j).toVector
+  override protected def solve(j: Int, sAll: Array[Int], dist: PairTable): Array[Int] = blind.slots(j)
 }

@@ -1,6 +1,5 @@
 package repro.matroid
 
-import repro.core.{Distance, Element}
 import scala.collection.mutable
 
 /** Algorithm 4 — matroid intersection à la Cunningham [18], adapted as in the
@@ -18,20 +17,22 @@ import scala.collection.mutable
 object MatroidIntersection {
 
   /** Augment `s0 ∈ I₁ ∩ I₂` to a maximum-cardinality common independent set.
-    * The result lists `s0`, then the greedy picks, in insertion order; each
-    * augmentation drops the elements it removes and appends those it adds.
+    * Everything is a ground position. The result lists `s0`, then the greedy
+    * picks, in insertion order; each augmentation drops the positions it
+    * removes and appends those it adds.
     *
-    * @param m1     first matroid (fairness), over ground set V
-    * @param m2     second matroid (clusters), over the same V in the same order
-    * @param dist   used only for the greedy farthest-first ordering
+    * @param m1     first matroid (fairness), over the ground positions V
+    * @param m2     second matroid (clusters), over the same V
+    * @param dist   distance between positions, used only for the greedy
+    *               farthest-first ordering
+    * @param id     id of the element at a position, for the greedy's ties
     * @param s0     initial common independent set
     */
-  def augmentToMax(m1: PartitionMatroid, m2: PartitionMatroid, dist: Distance, s0: Seq[Element]): Vector[Element] = {
-    val ground = m1.ground
-    val n = ground.length
-    require(m2.ground.length == n, "the two matroids must share one ground set")
+  def augmentToMax(m1: PartitionMatroid, m2: PartitionMatroid, dist: (Int, Int) => Double, id: Int => Long, s0: Seq[Int]): Array[Int] = {
+    val n = m1.size
+    require(m2.size == n, "the two matroids must share one ground set")
     val s = new Members(m1, m2)
-    s0.foreach(e => s.add(m1.positionOf(e.id)))
+    s0.foreach(s.add)
     require(s.independent, "the initial set must be common independent")
 
     // --- Phase 1: greedy farthest-first over V1 ∩ V2 (Lines 2–7), as in GMM:
@@ -39,14 +40,14 @@ object MatroidIntersection {
     val live = Array.range(0, n).filter(i => !s.contains(i) && s.canAdd(i))
     var nLive = live.length
     val toS = Array.fill(nLive)(Double.PositiveInfinity)
-    if (nLive > 0) s.order.foreach(y => nearer(live, nLive, toS, y, ground, dist))
+    if (nLive > 0) s.order.foreach(y => nearer(live, nLive, toS, y, dist))
     while (nLive > 0) {
       // Larger d(x, S) first, then the smaller id.
       var b = 0
       var t = 1
       while (t < nLive) {
         val c = java.lang.Double.compare(toS(t), toS(b))
-        if (c > 0 || (c == 0 && ground(live(t)).id < ground(live(b)).id)) b = t
+        if (c > 0 || (c == 0 && id(live(t)) < id(live(b)))) b = t
         t += 1
       }
       val pick = live(b)
@@ -60,7 +61,7 @@ object MatroidIntersection {
         t += 1
       }
       nLive = w
-      nearer(live, nLive, toS, pick, ground, dist)
+      nearer(live, nLive, toS, pick, dist)
     }
 
     // --- Phase 2: Cunningham augmentation loop (Lines 8–14). ---
@@ -71,15 +72,14 @@ object MatroidIntersection {
         path = shortestAugmentingPath(s)
       }
     }
-    s.order.iterator.map(ground).toVector
+    s.order.toArray
   }
 
   /** `toS(t) = min(toS(t), d(live(t), y))` for the first `nLive` candidates. */
-  private def nearer(live: Array[Int], nLive: Int, toS: Array[Double], y: Int, ground: IndexedSeq[Element], dist: Distance): Unit = {
-    val ey = ground(y)
+  private def nearer(live: Array[Int], nLive: Int, toS: Array[Double], y: Int, dist: (Int, Int) => Double): Unit = {
     var t = 0
     while (t < nLive) {
-      val d = dist(ground(live(t)), ey)
+      val d = dist(live(t), y)
       if (d < toS(t)) toS(t) = d
       t += 1
     }
@@ -89,7 +89,7 @@ object MatroidIntersection {
     * count in every part of both matroids.
     */
   private final class Members(val m1: PartitionMatroid, val m2: PartitionMatroid) {
-    private val in = new Array[Boolean](m1.ground.length)
+    private val in = new Array[Boolean](m1.size)
     val c1 = new Array[Int](m1.parts)
     val c2 = new Array[Int](m2.parts)
     val order = mutable.ArrayBuffer.empty[Int]
@@ -121,7 +121,7 @@ object MatroidIntersection {
     */
   private def shortestAugmentingPath(s: Members): List[Int] = {
     val (m1, m2) = (s.m1, s.m2)
-    val n = m1.ground.length
+    val n = m1.size
     val prev = Array.fill(n)(-2) // -2 unvisited, -1 reached from a
     val queue = new Array[Int](n)
     var head = 0

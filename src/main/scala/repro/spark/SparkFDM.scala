@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -16,14 +16,11 @@ object SparkFDM {
     def toElement: Element = Element(id, group, features)
   }
 
-  /** Typed view of a `(id, group, features)` DataFrame. */
-  def toDS(df: DataFrame): Dataset[ElementRow] = {
+  /** Collect the whole DataFrame in its current order — test-scale only. */
+  def collectElements(df: DataFrame): IndexedSeq[Element] = {
     val spark = df.sparkSession
     import spark.implicits._
     df.select(col("id").cast("long"), col("group").cast("int"), col("features")).as[ElementRow]
+      .collect().map(_.toElement).toIndexedSeq
   }
-
-  /** Collect the whole DataFrame in its current order — test-scale only. */
-  def collectElements(df: DataFrame): IndexedSeq[Element] =
-    toDS(df).collect().map(_.toElement).toIndexedSeq
 }

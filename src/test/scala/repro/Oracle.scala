@@ -2,8 +2,10 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import repro.core.{Diversity, Element, Metric}
 
-/** DuckDB correctness oracle.
+/** Test oracles: exact optima by brute force, and a DuckDB check of Spark
+  * queries.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
@@ -72,5 +74,43 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  /** `d(x, S) = min_{y ∈ S} d(x,y)`; +∞ for empty S. */
+  def distToSet(x: Element, s: Iterable[Element], metric: Metric): Double =
+    s.iterator.map(metric.dist(x, _)).foldLeft(Double.PositiveInfinity)((best, d) => if (d < best) d else best)
+
+  /** Exact optimum of unconstrained DM by subset enumeration;
+    * O(C(n,k)·k²), so callers keep n ≤ ~15.
+    */
+  def bruteForceOpt(xs: IndexedSeq[Element], k: Int, metric: Metric): Double = {
+    require(xs.length >= k, s"need at least $k elements, got ${xs.length}")
+    var best = Double.NegativeInfinity
+    xs.combinations(k).foreach { c =>
+      val d = Diversity.div(c, metric)
+      if (d > best) best = d
+    }
+    best
+  }
+
+  /** Exact optimum of *fair* DM by per-group subset enumeration. Returns −∞
+    * if no valid fair solution exists.
+    */
+  def bruteForceFairOpt(xs: IndexedSeq[Element], ks: IndexedSeq[Int], metric: Metric): Double = {
+    val byGroup = xs.groupBy(_.group)
+    if (ks.zipWithIndex.exists { case (ki, i) => byGroup.getOrElse(i, IndexedSeq.empty).length < ki })
+      return Double.NegativeInfinity
+    // Cartesian product of per-group combinations.
+    def rec(g: Int, acc: List[Element], best: Double): Double = {
+      if (g == ks.length) math.max(best, Diversity.div(acc, metric))
+      else {
+        var b = best
+        byGroup.getOrElse(g, IndexedSeq.empty).combinations(ks(g)).foreach { c =>
+          b = rec(g + 1, c.toList ::: acc, b)
+        }
+        b
+      }
+    }
+    rec(0, Nil, Double.NegativeInfinity)
   }
 }

@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 import repro.core.{Diversity, Element, Euclidean}
 
 /** FairFlow (offline, arbitrary m): fairness and sanity of the τ-ladder. */
@@ -22,7 +22,7 @@ class FairFlowSpec extends AnyFunSuite {
     test(s"diversity is positive and ≤ OPT_f (seed $seed)") {
       val ks = IndexedSeq(2, 2)
       val xs = TestGen.randomElements(14, 2, 2, seed * 31L, minPerGroup = 3)
-      val optF = Diversity.bruteForceFairOpt(xs, ks, Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, ks, Euclidean)
       val d = Diversity.div(FairFlow.run(xs, ks, Euclidean), Euclidean)
       assert(d > 0 && d <= optF + 1e-9)
     }

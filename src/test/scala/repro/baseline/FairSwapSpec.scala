@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 import repro.core.{Diversity, Element, Euclidean}
 
 /** FairSwap (offline, m=2): fairness and the 1/4-approximation guarantee. */
@@ -23,7 +23,7 @@ class FairSwapSpec extends AnyFunSuite {
       val rng = new scala.util.Random(seed + 100)
       val (k1, k2) = (1 + rng.nextInt(2), 1 + rng.nextInt(2))
       val xs = TestGen.randomElements(12, 2, 2, seed * 23L, minPerGroup = 3)
-      val optF = Diversity.bruteForceFairOpt(xs, IndexedSeq(k1, k2), Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, IndexedSeq(k1, k2), Euclidean)
       val sol = FairSwap.run(xs, k1, k2, Euclidean)
       assert(Diversity.div(sol, Euclidean) >= optF / 4 - 1e-9)
     }

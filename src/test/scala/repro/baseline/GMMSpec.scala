@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 import repro.core.{Diversity, Element, Euclidean, Manhattan}
 
 /** Gonzalez greedy (GMM): the 1/2-approximation guarantee and mechanics. */
@@ -13,7 +13,7 @@ class GMMSpec extends AnyFunSuite {
       val n = 10 + rng.nextInt(5)
       val k = 3 + rng.nextInt(2)
       val xs = TestGen.randomElements(n, 1, 2, seed * 7L)
-      val opt = Diversity.bruteForceOpt(xs, k, Euclidean)
+      val opt = Oracle.bruteForceOpt(xs, k, Euclidean)
       val sol = GMM.run(xs, k, Euclidean)
       assert(sol.size == k)
       assert(Diversity.div(sol, Euclidean) >= opt / 2 - 1e-9)

@@ -60,7 +60,7 @@ class CandidateBankSpec extends AnyFunSuite {
     banks.foreach { st =>
       st.processAll(xs)
       for (p <- st.blind +: st.groups; j <- st.guesses.indices) {
-        val es = p.elements(j)
+        val es = p.slots(j).map(st.memo.element)
         assert(es.length <= p.cap, s"guess $j holds ${es.length} > ${p.cap}")
         for (a <- es.indices; b <- a + 1 until es.length)
           assert(Euclidean.dist(es(a), es(b)) >= st.guesses(j), s"guess $j: pair ($a,$b) violates µ=${st.guesses(j)}")

@@ -8,7 +8,8 @@ import repro.TestGen
   */
 class CandidateSpec extends AnyFunSuite {
 
-  private def candidate(cap: Int, mu: Double): Part = new Part(cap, Array(mu), new DistanceMemo(Euclidean))
+  private def candidate(cap: Int, mu: Double, memo: DistanceMemo = new DistanceMemo(Euclidean)): Part =
+    new Part(cap, Array(mu), memo)
 
   /** Offers `x`; true iff the candidate stored it. */
   private def tryAdd(c: Part, x: Element): Boolean = {
@@ -36,9 +37,10 @@ class CandidateSpec extends AnyFunSuite {
     test(s"µ-separation invariant holds on a random stream (seed $seed)") {
       val rng = new scala.util.Random(seed)
       val mu = 0.2 + rng.nextDouble() * 0.3
-      val c = candidate(5, mu)
+      val memo = new DistanceMemo(Euclidean)
+      val c = candidate(5, mu, memo)
       TestGen.randomElements(200, 1, 2, seed).foreach(tryAdd(c, _))
-      val es = c.elements(0)
+      val es = c.slots(0).map(memo.element)
       for (i <- es.indices; j <- i + 1 until es.length)
         assert(Euclidean.dist(es(i), es(j)) >= mu, s"pair ($i,$j) violates µ=$mu")
       assert(es.length <= 5)
@@ -67,10 +69,11 @@ class CandidateSpec extends AnyFunSuite {
   }
 
   test("insertion order is preserved in elements") {
-    val c = candidate(3, 1.0)
+    val memo = new DistanceMemo(Euclidean)
+    val c = candidate(3, 1.0, memo)
     tryAdd(c, Element(5, 0, Array(0.0)))
     tryAdd(c, Element(3, 0, Array(10.0)))
     tryAdd(c, Element(8, 0, Array(20.0)))
-    assert(c.elements(0).map(_.id) == IndexedSeq(5L, 3L, 8L))
+    assert(c.slots(0).map(memo.element(_).id).toSeq == IndexedSeq(5L, 3L, 8L))
   }
 }

@@ -31,29 +31,29 @@ class DiversitySpec extends SparkSpec {
 
   test("distToSet is the minimum over the set; +∞ on empty") {
     val s = Seq(el(0, 0, 0, 0), el(1, 0, 10, 0))
-    assert(math.abs(Diversity.distToSet(el(9, 0, 1, 0), s, Euclidean) - 1.0) < 1e-12)
-    assert(Diversity.distToSet(el(9, 0, 1, 0), Nil, Euclidean).isPosInfinity)
+    assert(math.abs(Oracle.distToSet(el(9, 0, 1, 0), s, Euclidean) - 1.0) < 1e-12)
+    assert(Oracle.distToSet(el(9, 0, 1, 0), Nil, Euclidean).isPosInfinity)
   }
 
   test("bruteForceOpt equals div of bruteforce argmax on a hand instance") {
     // 4 corners of a unit square + center; best 4 of 5 are the corners (div 1).
     val xs = IndexedSeq(el(0, 0, 0, 0), el(1, 0, 0, 1), el(2, 0, 1, 0), el(3, 0, 1, 1), el(4, 0, 0.5, 0.5))
-    assert(math.abs(Diversity.bruteForceOpt(xs, 4, Euclidean) - 1.0) < 1e-12)
+    assert(math.abs(Oracle.bruteForceOpt(xs, 4, Euclidean) - 1.0) < 1e-12)
   }
 
   test("bruteForceFairOpt ≤ bruteForceOpt (fairness can only cost diversity)") {
     val rng = new scala.util.Random(11)
     for (_ <- 0 until 20) {
       val xs = TestGen.randomElements(10, 2, 2, rng.nextLong(), minPerGroup = 2)
-      val fair = Diversity.bruteForceFairOpt(xs, IndexedSeq(2, 2), Euclidean)
-      val free = Diversity.bruteForceOpt(xs, 4, Euclidean)
+      val fair = Oracle.bruteForceFairOpt(xs, IndexedSeq(2, 2), Euclidean)
+      val free = Oracle.bruteForceOpt(xs, 4, Euclidean)
       assert(fair <= free + 1e-12)
     }
   }
 
   test("bruteForceFairOpt returns -∞ when quotas are infeasible") {
     val xs = IndexedSeq(el(0, 0, 0.0), el(1, 0, 1.0))
-    assert(Diversity.bruteForceFairOpt(xs, IndexedSeq(1, 1), Euclidean).isNegInfinity)
+    assert(Oracle.bruteForceFairOpt(xs, IndexedSeq(1, 1), Euclidean).isNegInfinity)
   }
 
   test("Oracle: Spark SQL min pairwise Euclidean distance matches DuckDB and Diversity.div") {

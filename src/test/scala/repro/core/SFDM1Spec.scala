@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 
 /** Algorithm 2 — SFDM1: fairness, the Theorem 2 ((1-ε)/4) guarantee, and
   * structural invariants of the swap-based post-processing.
@@ -32,7 +32,7 @@ class SFDM1Spec extends AnyFunSuite {
       val (k1, k2) = (1 + rng.nextInt(2), 1 + rng.nextInt(2))
       val eps = 0.1
       val xs = TestGen.randomElements(12 + rng.nextInt(4), 2, 2, seed * 97L, minPerGroup = math.max(k1, k2) + 1)
-      val optF = Diversity.bruteForceFairOpt(xs, IndexedSeq(k1, k2), Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, IndexedSeq(k1, k2), Euclidean)
       assert(optF > 0)
       val res = runOn(xs, k1, k2, eps)
       assert(res.diversity >= (1 - eps) / 4 * optF - 1e-9,
@@ -44,7 +44,7 @@ class SFDM1Spec extends AnyFunSuite {
     test(s"Theorem 2 on clustered data (seed $seed)") {
       val eps = 0.1
       val xs = TestGen.clusteredElements(16, 2, 2, 6, seed * 13L, minPerGroup = 3)
-      val optF = Diversity.bruteForceFairOpt(xs, IndexedSeq(2, 2), Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, IndexedSeq(2, 2), Euclidean)
       val res = runOn(xs, 2, 2, eps)
       assert(res.diversity >= (1 - eps) / 4 * optF - 1e-9)
     }
@@ -63,7 +63,7 @@ class SFDM1Spec extends AnyFunSuite {
 
   test("guarantee holds across stream permutations") {
     val xs = TestGen.randomElements(14, 2, 2, 1234, minPerGroup = 3)
-    val optF = Diversity.bruteForceFairOpt(xs, IndexedSeq(2, 2), Euclidean)
+    val optF = Oracle.bruteForceFairOpt(xs, IndexedSeq(2, 2), Euclidean)
     for (s <- 1 to 8) {
       val perm = new scala.util.Random(s).shuffle(xs)
       val res = runOn(perm, 2, 2, 0.1)
@@ -98,5 +98,27 @@ class SFDM1Spec extends AnyFunSuite {
     val xs = TestGen.randomElements(30, 2, 2, 21, minPerGroup = 6)
     val res = runOn(xs, 5, 1, 0.1)
     assert(res.groupCounts.getOrElse(0, 0) == 5 && res.groupCounts.getOrElse(1, 0) == 1)
+  }
+
+  test("an id that arrives again with other features is balanced as an element of its own (quotas (3, 1), Manhattan lattice)") {
+    // At every eligible guess the blind candidate is a, d, e, b: two of group
+    // 0's quota of 3. Group 0's candidate is a, b, b', and b' repeats b's id.
+    // Balancing by id left no element for the pool, which threw empty.maxBy;
+    // by slot it inserts b', then drops d, the nearer of d and e to group 0
+    // (a tie at 1, broken by the smaller id).
+    val xs = IndexedSeq(
+      Element(0, 0, Array(0.0, 0.0)), // a
+      Element(3, 1, Array(1.0, 1.0)), // d
+      Element(4, 1, Array(1.0, 0.0)), // e
+      Element(1, 0, Array(0.0, 1.0)), // b
+      Element(1, 0, Array(0.5, 1.5)), // b'
+    )
+    val st = new SFDM1(3, 1, 0.1, DistanceBounds(0.5, 2.5), Manhattan)
+    st.processAll(xs)
+    val res = st.finish()
+    assert(res.fair && res.groupCounts == Map(0 -> 3, 1 -> 1), s"${res.groupCounts}")
+    assert(res.solution.map(_.id) == Vector(0L, 4L, 1L, 1L) && res.diversity == 1.0, s"${res.solution}, ${res.diversity}")
+    assert(res.solution(2) ne res.solution(3))
+    assert(res.storedElements == 5)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 
 /** Algorithm 3 — SFDM2: fairness for arbitrary m, the Theorem 4
   * ((1-ε)/(3m+2)) guarantee, and the Lemma 3 cluster properties.
@@ -30,7 +30,7 @@ class SFDM2Spec extends AnyFunSuite {
       val eps = 0.1
       val ks = IndexedSeq(2, 2)
       val xs = TestGen.randomElements(13, 2, 2, seed * 211L, minPerGroup = 3)
-      val optF = Diversity.bruteForceFairOpt(xs, ks, Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, ks, Euclidean)
       val res = runOn(xs, ks, eps)
       val bound = (1 - eps) / (3 * 2 + 2) * optF
       assert(res.diversity >= bound - 1e-9, s"got ${res.diversity}, need ≥ $bound")
@@ -42,7 +42,7 @@ class SFDM2Spec extends AnyFunSuite {
       val eps = 0.1
       val ks = IndexedSeq(1, 1, 2)
       val xs = TestGen.randomElements(12, 3, 2, seed * 307L, minPerGroup = 3)
-      val optF = Diversity.bruteForceFairOpt(xs, ks, Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, ks, Euclidean)
       val res = runOn(xs, ks, eps)
       val bound = (1 - eps) / (3 * 3 + 2) * optF
       assert(res.diversity >= bound - 1e-9)
@@ -54,7 +54,7 @@ class SFDM2Spec extends AnyFunSuite {
       val eps = 0.1
       val ks = IndexedSeq(2, 2)
       val xs = TestGen.clusteredElements(16, 2, 2, 6, seed * 17L, minPerGroup = 4)
-      val optF = Diversity.bruteForceFairOpt(xs, ks, Euclidean)
+      val optF = Oracle.bruteForceFairOpt(xs, ks, Euclidean)
       val res = runOn(xs, ks, eps)
       assert(res.diversity >= (1 - eps) / 8 * optF - 1e-9)
     }
@@ -65,8 +65,8 @@ class SFDM2Spec extends AnyFunSuite {
     val st = new SFDM2(IndexedSeq(2, 2, 2), 0.1, DistanceBounds.exact(xs, Euclidean), Euclidean)
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 2)
-    val sAll = st.contents
-    val cluster = st.clusterIds(sAll, mu, new PairTable(st.memo))
+    val sAll = st.contents // in slot order: position i holds slot i
+    val cluster = st.clusterIds(sAll.length, mu, new PairTable(st.memo).at)
     val cid = sAll.indices.map(i => sAll(i).id -> cluster(i)).toMap
     val thr = mu / 4 // m + 1 = 4
     for (i <- sAll.indices; j <- i + 1 until sAll.length
@@ -80,8 +80,8 @@ class SFDM2Spec extends AnyFunSuite {
     val st = new SFDM2(IndexedSeq(2, 2), 0.1, DistanceBounds.exact(xs, Euclidean), Euclidean)
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 3)
-    val sAll = st.contents
-    val cluster = st.clusterIds(sAll, mu, new PairTable(st.memo))
+    val sAll = st.contents // in slot order: position i holds slot i
+    val cluster = st.clusterIds(sAll.length, mu, new PairTable(st.memo).at)
     val cid = sAll.indices.map(i => sAll(i).id -> cluster(i)).toMap
     val thr = mu / 3 // m + 1 = 3
     sAll.groupBy(e => cid(e.id)).values.filter(_.size > 1).foreach { cluster =>
@@ -109,7 +109,7 @@ class SFDM2Spec extends AnyFunSuite {
   test("guarantee across permutations (m=3)") {
     val ks = IndexedSeq(1, 1, 1)
     val xs = TestGen.randomElements(12, 3, 2, 4321, minPerGroup = 2)
-    val optF = Diversity.bruteForceFairOpt(xs, ks, Euclidean)
+    val optF = Oracle.bruteForceFairOpt(xs, ks, Euclidean)
     for (s <- 1 to 6) {
       val perm = new scala.util.Random(s).shuffle(xs)
       val res = runOn(perm, ks, 0.1)

@@ -9,7 +9,9 @@ import scala.util.Try
   * live candidates and wakes dormant ones, against [[ReferenceBank]], which
   * offers every arrival to every candidate, on adversarial streams. Both build
   * the same candidates with the same evaluations, and `finish()` gives the
-  * same result, unless all points coincide, which only the bank rejects.
+  * same result, unless all points coincide, which only the bank rejects. A
+  * fair SFDM1 or SFDM2 result meets every quota, and the stored-element count
+  * is the number of distinct slots the candidates hold.
   */
 class StreamPhaseSpec extends AnyFunSuite with PropSupport {
 
@@ -63,16 +65,21 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
     stream <- shape(xs, metric)
   } yield Case(algo, ks, metric, eps, DistanceBounds(dmin, dmin * ratio), stream)
 
-  private def asIs(xs: IndexedSeq[Element], m: Metric): Gen[IndexedSeq[Element]] = Gen.const(xs)
+  private def asIs(xs: IndexedSeq[Element], @annotation.unused m: Metric): Gen[IndexedSeq[Element]] = Gen.const(xs)
 
-  /** Runs the bank and the reference on the case's stream and compares. */
-  private def agree(c: Case): Boolean = {
+  /** Ids of the elements in candidate j of part p, in insertion order. */
+  private def ids(bank: CandidateBank, p: Part, j: Int): Seq[Long] = p.slots(j).map(bank.memo.element(_).id).toSeq
+
+  /** Runs the bank and the reference on the case's stream and compares.
+    * With `finishes`, `finish()` must succeed unless all points coincide.
+    */
+  private def agree(c: Case, finishes: Boolean): Boolean = {
     val st = c.bank()
     val ref = c.bank()
     c.stream.foreach(st.process)
     val refOffers = c.stream.iterator.map(ReferenceBank.process(ref, _)).sum
     for (((p, q), i) <- ((st.blind +: st.groups) zip (ref.blind +: ref.groups)).zipWithIndex; j <- st.guesses.indices)
-      assert(p.elements(j).map(_.id) == q.elements(j).map(_.id), s"part $i, guess $j")
+      assert(p.slots(j).toSeq == q.slots(j).toSeq && ids(st, p, j) == ids(ref, q, j), s"part $i, guess $j")
     assert(st.memo.evals == ref.memo.evals, "stream-phase evaluations")
     val x0 = c.stream.head
     val coincide = c.stream.length >= 2 && st.k >= 2 && c.stream.forall(x => c.metric.dist(x, x0) == 0.0)
@@ -81,6 +88,9 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
       val e = got.failed.get
       assert(e.isInstanceOf[IllegalArgumentException] && e.getMessage.contains("all points coincide"), e.toString)
     } else {
+      assert(!finishes || got.isSuccess, s"finish() failed: $got")
+      for (a <- got if a.fair && c.algo != 0)
+        assert(a.solution.size == st.k && c.ks.indices.forall(i => a.groupCounts.getOrElse(i, 0) == c.ks(i)), s"quotas ${c.ks}, got ${a.groupCounts}")
       val want = Try(ref.finish())
       assert(got.isSuccess == want.isSuccess, s"$got vs $want")
       got.failed.foreach(e => assert(thrown(e) == thrown(want.failed.get)))
@@ -102,46 +112,67 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
   private def thrown(e: Throwable): String =
     if (e.getCause != null && e.getCause.getClass == e.getClass) thrown(e.getCause) else e.toString
 
-  private def check(g: Gen[Case]): Unit = checkProp(Prop.forAll(g)(agree), minSuccessful = 400)
+  private def check(g: Gen[Case], finishes: Boolean = false): Unit =
+    checkProp(Prop.forAll(g)(agree(_, finishes)), minSuccessful = 400)
+
+  private val duplicateIds = caseGen() { (xs, _) =>
+    Gen.listOfN(xs.length / 2 + 1, Gen.zip(Gen.oneOf(xs), Gen.choose(0, xs.length), Gen.oneOf(true, false))).map { dups =>
+      dups.foldLeft(xs) { case (s, (x, at, same)) =>
+        val y = if (same) x else Element(x.id, x.group, x.features.map(_ + 0.5))
+        s.patch(at, Seq(y), 0)
+      }
+    }
+  }
+  private val coincident = caseGen(lattice = Gen.const(true)) { (xs, _) =>
+    Gen.oneOf(xs, xs.map(x => Element(x.id, x.group, xs.head.features.clone())))
+  }
+  private val absentGroup = caseGen(
+    algos = algoGen.suchThat(_._2.length >= 2),
+    groups = ks => Gen.choose(0, ks.length - 1).map(absent => ks.indices.filter(_ != absent)),
+  )(asIs)
+  private val sortedFromFirst = caseGen(lattice = Gen.const(false)) { (xs, m) =>
+    Gen.const(xs.head +: xs.tail.sortBy(x => m.dist(x, xs.head)))
+  }
+  private val quotaOne = caseGen(algos = Gen.oneOf((1, 1), (1, 2), (3, 1)).map { case (a, b) => (1, IndexedSeq(a, b)) })(asIs)
+  private val overflowing = caseGen(metrics = Gen.const(Angular)) { (xs, _) =>
+    Gen.listOfN(xs.length, Gen.oneOf(false, false, true)).map { big =>
+      xs.indices.map(i => if (big(i)) Element(xs(i).id, xs(i).group, xs(i).features.map(_ * 1e200)) else xs(i))
+    }
+  }
 
   test("duplicate ids, as the same element again or with other features, give the reference's candidates and result") {
-    check(caseGen() { (xs, _) =>
-      Gen.listOfN(xs.length / 2 + 1, Gen.zip(Gen.oneOf(xs), Gen.choose(0, xs.length), Gen.oneOf(true, false))).map { dups =>
-        dups.foldLeft(xs) { case (s, (x, at, same)) =>
-          val y = if (same) x else Element(x.id, x.group, x.features.map(_ + 0.5))
-          s.patch(at, Seq(y), 0)
-        }
-      }
-    })
+    check(duplicateIds, finishes = true)
   }
 
   test("coincident points, and streams whose points all coincide, give the reference's candidates and result") {
-    check(caseGen(lattice = Gen.const(true)) { (xs, _) =>
-      Gen.oneOf(xs, xs.map(x => Element(x.id, x.group, xs.head.features.clone())))
-    })
+    check(coincident)
   }
 
   test("a group that never arrives gives the reference's candidates and result") {
-    val withGroups = algoGen.suchThat(_._2.length >= 2)
-    check(caseGen(algos = withGroups, groups = ks => Gen.choose(0, ks.length - 1).map(absent => ks.indices.filter(_ != absent)))(asIs))
+    check(absentGroup)
   }
 
   test("arrivals sorted by distance from the first, which wake one guess at a time, give the reference's candidates and result") {
-    check(caseGen(lattice = Gen.const(false)) { (xs, m) =>
-      Gen.const(xs.head +: xs.tail.sortBy(x => m.dist(x, xs.head)))
-    })
+    check(sortedFromFirst)
   }
 
   test("SFDM1 with a quota of 1, whose candidates of capacity 1 are never dormant, gives the reference's candidates and result") {
-    val quotaOne = Gen.oneOf((1, 1), (1, 2), (3, 1)).map { case (a, b) => (1, IndexedSeq(a, b)) }
-    check(caseGen(algos = quotaOne)(asIs))
+    check(quotaOne)
   }
 
   test("Angular features whose squares overflow, which give NaN distances, give the reference's candidates and result") {
-    check(caseGen(metrics = Gen.const(Angular)) { (xs, _) =>
-      Gen.listOfN(xs.length, Gen.oneOf(false, false, true)).map { big =>
-        xs.indices.map(i => if (big(i)) Element(xs(i).id, xs(i).group, xs(i).features.map(_ * 1e200)) else xs(i))
-      }
-    })
+    check(overflowing)
+  }
+
+  test("storedElementCount equals contents.size and the distinct slots held across all parts, on each stream above") {
+    val any = Gen.oneOf(duplicateIds, coincident, absentGroup, sortedFromFirst, quotaOne, overflowing)
+    checkProp(Prop.forAll(any) { c =>
+      val st = c.bank()
+      c.stream.foreach(st.process)
+      val held = (st.blind +: st.groups).flatMap(p => st.guesses.indices.flatMap(p.slots(_))).distinct.length
+      assert(st.storedElementCount == st.contents.size && st.contents.size == held,
+        s"storedElementCount ${st.storedElementCount}, contents ${st.contents.size}, distinct slots $held")
+      true
+    }, minSuccessful = 400)
   }
 }

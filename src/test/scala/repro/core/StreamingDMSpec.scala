@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 
 /** Algorithm 1 — invariants and the Theorem 1 ((1-ε)/2) guarantee against
   * brute-force OPT on enumerable instances.
@@ -21,7 +21,7 @@ class StreamingDMSpec extends AnyFunSuite {
       val k = 3 + rng.nextInt(2)
       val eps = 0.1
       val xs = TestGen.randomElements(n, 1, 2, seed * 1000L)
-      val opt = Diversity.bruteForceOpt(xs, k, Euclidean)
+      val opt = Oracle.bruteForceOpt(xs, k, Euclidean)
       val (res, _) = runOn(xs, k, eps)
       assert(res.solution.size == k)
       assert(res.diversity >= (1 - eps) / 2 * opt - 1e-9,
@@ -34,7 +34,7 @@ class StreamingDMSpec extends AnyFunSuite {
       val xs = TestGen.clusteredElements(14, 1, 2, 5, seed * 7L)
       val k = 4
       val eps = 0.05
-      val opt = Diversity.bruteForceOpt(xs, k, Euclidean)
+      val opt = Oracle.bruteForceOpt(xs, k, Euclidean)
       val (res, _) = runOn(xs, k, eps)
       assert(res.diversity >= (1 - eps) / 2 * opt - 1e-9)
     }
@@ -44,7 +44,7 @@ class StreamingDMSpec extends AnyFunSuite {
     val xs = TestGen.randomElements(50, 1, 3, 77)
     val (_, st) = runOn(xs, 4, 0.15)
     st.guesses.indices.foreach { g =>
-      val es = st.blind.elements(g)
+      val es = st.blind.slots(g).map(st.memo.element)
       for (i <- es.indices; j <- i + 1 until es.length)
         assert(Euclidean.dist(es(i), es(j)) >= st.guesses(g) - 1e-12)
     }
@@ -60,7 +60,7 @@ class StreamingDMSpec extends AnyFunSuite {
   test("result is invariant in quality across permutations (guarantee, not identity)") {
     val xs = TestGen.randomElements(12, 1, 2, 55)
     val k = 3
-    val opt = Diversity.bruteForceOpt(xs, k, Euclidean)
+    val opt = Oracle.bruteForceOpt(xs, k, Euclidean)
     for (s <- 1 to 5) {
       val perm = new scala.util.Random(s).shuffle(xs)
       val (res, _) = runOn(perm, k, 0.1)

@@ -1,12 +1,13 @@
 package repro.matroid
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Diversity, Distance, Element, Euclidean, Manhattan}
+import repro.Oracle
+import repro.core.{Element, Euclidean, Manhattan, Metric}
 import scala.collection.mutable
 
-/** Algorithm 4 on part arrays against the id-based greedy phase and
-  * Cunningham loop it replaced: same ids, in the same order, on seeded random
-  * pairs of partition matroids.
+/** Algorithm 4 on part arrays and ground positions against the id-based
+  * greedy phase and Cunningham loop it replaced: same ids, in the same order,
+  * on seeded random pairs of partition matroids.
   */
 class AugmentEquivalenceSpec extends AnyFunSuite {
 
@@ -25,14 +26,14 @@ class AugmentEquivalenceSpec extends AnyFunSuite {
     * graph until no path is left. Returns the ids and the number of paths.
     */
   private def reference(ground: IndexedSeq[Element], m1: RefPartition, m2: RefPartition,
-                        dist: Distance, s0: Seq[Element]): (Vector[Long], Int) = {
+                        dist: Metric, s0: Seq[Element]): (Vector[Long], Int) = {
     val byId: Map[Long, Element] = ground.map(e => e.id -> e).toMap
     val inS = mutable.LinkedHashSet.from(s0.map(_.id))
     def sElems: Vector[Element] = inS.iterator.map(byId).toVector
     var v12 = ground.filter(e => !inS.contains(e.id) && m1.canAdd(inS, e) && m2.canAdd(inS, e))
     while (v12.nonEmpty) {
       val cur = sElems
-      val pick = v12.maxBy(x => (Diversity.distToSet(x, cur, dist), -x.id))
+      val pick = v12.maxBy(x => (Oracle.distToSet(x, cur, dist), -x.id))
       inS += pick.id
       v12 = v12.filter(e => e.id != pick.id && m1.canAdd(inS, e) && m2.canAdd(inS, e))
     }
@@ -109,9 +110,10 @@ class AugmentEquivalenceSpec extends AnyFunSuite {
     val dist = if (rng.nextBoolean()) Euclidean else Manhattan
 
     val (refIds, paths) = reference(ground, r1, r2, dist, s0)
-    val m1 = new PartitionMatroid(ground, part1, caps1)
-    val m2 = new PartitionMatroid(ground, part2, _ => cap2)
-    val got = MatroidIntersection.augmentToMax(m1, m2, dist, s0).map(_.id)
+    val m1 = new PartitionMatroid(part1, caps1)
+    val m2 = new PartitionMatroid(part2, _ => cap2)
+    val got = MatroidIntersection.augmentToMax(m1, m2, (i, j) => dist.dist(ground(i), ground(j)), ground(_).id, s0.map(ground.indexOf))
+      .map(ground(_).id).toVector
     assert(got == refIds, s"seed $seed (lattice=$lattice): $got vs reference $refIds")
     // The greedy phase alone yields the reference set minus its augmentations;
     // reaching the rank bound is what lets the new code skip the BFS.

@@ -4,11 +4,13 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
 import repro.core.Element
 
-/** Partition-matroid axioms, asserted against `isIndependent`. */
+/** Partition-matroid axioms, asserted against [[Independence]] on sets of
+  * ground positions.
+  */
 class MatroidSpec extends AnyFunSuite {
 
   private def mkMatroid(xs: IndexedSeq[Element], caps: IndexedSeq[Int]): PartitionMatroid =
-    new PartitionMatroid(xs, xs.map(_.group).toArray, caps)
+    new PartitionMatroid(xs.map(_.group).toArray, caps)
 
   for (seed <- 1 to 8) {
     test(s"hereditary property: subsets of independent sets are independent (seed $seed)") {
@@ -18,11 +20,11 @@ class MatroidSpec extends AnyFunSuite {
       val xs = TestGen.randomElements(10, m, 2, seed * 11L)
       val matroid = mkMatroid(xs, caps)
       // Build a maximal-ish independent set greedily, then check all subsets.
-      val ind = xs.foldLeft(Vector.empty[Element]) { (acc, x) =>
-        if (matroid.isIndependent(acc :+ x)) acc :+ x else acc
+      val ind = xs.indices.foldLeft(Vector.empty[Int]) { (acc, x) =>
+        if (Independence(matroid, acc :+ x)) acc :+ x else acc
       }
-      assert(matroid.isIndependent(ind))
-      ind.indices.foreach(i => assert(matroid.isIndependent(ind.patch(i, Nil, 1))))
+      assert(Independence(matroid, ind))
+      ind.indices.foreach(i => assert(Independence(matroid, ind.patch(i, Nil, 1))))
     }
   }
 
@@ -34,33 +36,33 @@ class MatroidSpec extends AnyFunSuite {
       val xs = TestGen.randomElements(12, m, 2, seed * 17L, minPerGroup = 2)
       val matroid = mkMatroid(xs, caps)
       // Random independent sets A, B with |A| > |B|.
-      def randomIndependent(maxSize: Int): Vector[Element] =
-        rng.shuffle(xs).foldLeft(Vector.empty[Element]) { (acc, x) =>
-          if (acc.size < maxSize && matroid.isIndependent(acc :+ x)) acc :+ x else acc
+      def randomIndependent(maxSize: Int): Vector[Int] =
+        rng.shuffle(xs.indices.toVector).foldLeft(Vector.empty[Int]) { (acc, x) =>
+          if (acc.size < maxSize && Independence(matroid, acc :+ x)) acc :+ x else acc
         }
       val a = randomIndependent(4)
       val b = randomIndependent(math.max(0, a.size - 1))
       if (a.size > b.size) {
-        val candidates = a.filterNot(x => b.exists(_.id == x.id))
-        assert(candidates.exists(x => matroid.isIndependent(b :+ x)),
-          s"augmentation failed: A=${a.map(_.group)}, B=${b.map(_.group)}, caps=$caps")
+        val candidates = a.filterNot(b.contains)
+        assert(candidates.exists(x => Independence(matroid, b :+ x)),
+          s"augmentation failed: A=${a.map(xs(_).group)}, B=${b.map(xs(_).group)}, caps=$caps")
       }
     }
   }
 
   test("empty set is independent") {
     val xs = TestGen.randomElements(5, 2, 2, 1)
-    assert(mkMatroid(xs, IndexedSeq(1, 1)).isIndependent(Nil))
+    assert(Independence(mkMatroid(xs, IndexedSeq(1, 1)), Nil))
   }
 
   test("cluster matroid (caps all 1) admits at most one element per cluster") {
     val xs = TestGen.randomElements(8, 4, 2, 5)
     val clusterOf = xs.map(e => (e.id % 3).toInt).toArray
-    val matroid = new PartitionMatroid(xs, clusterOf, _ => 1)
-    val byCluster = xs.indices.groupBy(clusterOf).values.map(_.map(xs))
+    val matroid = new PartitionMatroid(clusterOf, _ => 1)
+    val byCluster = xs.indices.groupBy(clusterOf).values
     byCluster.filter(_.size >= 2).foreach { cl =>
-      assert(!matroid.isIndependent(cl.take(2)))
-      assert(matroid.isIndependent(cl.take(1)))
+      assert(!Independence(matroid, cl.take(2)))
+      assert(Independence(matroid, cl.take(1)))
     }
   }
 }

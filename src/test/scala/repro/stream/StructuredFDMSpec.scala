@@ -1,6 +1,6 @@
 package repro.stream
 
-import repro.{SparkSpec, TestGen}
+import repro.{Oracle, SparkSpec, TestGen}
 import repro.core._
 
 /** Structured Streaming execution — the repro band's target: foreachBatch
@@ -33,7 +33,7 @@ class StructuredFDMSpec extends SparkSpec {
   test("StreamingDM via Structured Streaming keeps the Theorem 1 guarantee") {
     val xs = TestGen.randomElements(14, 1, 2, 3)
     val bounds = DistanceBounds.exact(xs, Euclidean)
-    val opt = Diversity.bruteForceOpt(xs, 4, Euclidean)
+    val opt = Oracle.bruteForceOpt(xs, 4, Euclidean)
     val (res, _) = StructuredFDM.run(spark, xs, new StreamingDM(4, 0.1, bounds, Euclidean), batchSize = 5)
     assert(res.diversity >= 0.9 / 2 * opt - 1e-9)
   }
