@@ -1,7 +1,7 @@
 package repro.baseline
 
 import repro.core.{Element, Metric}
-import repro.flow.MaxFlow
+import repro.matroid.{MatroidIntersection, PartitionMatroid}
 import scala.collection.mutable
 
 /** FairFlow [32] — the offline 1/(3m-1)-approximation for fair max-min
@@ -11,12 +11,17 @@ import scala.collection.mutable
   *
   * Shape of the algorithm: guess a diversity target τ (descending geometric
   * ladder seeded by 2·div(GMM) ≥ OPT_f); build a δ-net clustering of the
-  * *whole* dataset at δ = τ/(m+1); route a unit of flow per solution slot
-  * through a source → group (cap k_i) → cluster (∋ that group, cap 1) → sink
-  * network; the first τ whose max flow saturates all k slots yields the
-  * solution — an *arbitrary* representative per selected (group, cluster)
-  * pair, which is exactly why FairFlow's solution quality degrades with m
-  * (threshold ∝ 1/m, no greedy selection), matching Table II's shape.
+  * *whole* dataset at δ = τ/(m+1); keep the first-seen element of each
+  * (cluster, group) pair as its representative; assign groups to clusters
+  * with Algorithm 4 ([[MatroidIntersection.augmentToMax]]) over the
+  * representatives, as a maximum common independent set of the group matroid
+  * (cap k_i) and the cluster matroid (cap 1), the same two partition
+  * matroids as SFDM2. The maximum flow of [32]'s source → group → cluster →
+  * sink network is that set's size. The first τ whose assignment fills all k
+  * slots yields the solution — an *arbitrary* representative per selected
+  * (group, cluster) pair, which is exactly why FairFlow's solution quality
+  * degrades with m (threshold ∝ 1/m, no greedy selection), matching Table
+  * II's shape.
   *
   * O(n) memory over the full dataset and O(n·#clusters) time per guess — the
   * offline inefficiency the paper's streaming algorithms eliminate.
@@ -47,15 +52,13 @@ object FairFlow {
     throw new IllegalStateException("FairFlow: no feasible threshold found")
   }
 
-  /** One guess: δ-net clustering + flow assignment. */
+  /** One guess: δ-net clustering, then a maximum group→cluster assignment. */
   private def solveAt(xs: IndexedSeq[Element], ks: IndexedSeq[Int], metric: Metric, delta: Double): Option[Vector[Element]] = {
-    val m = ks.length
-    val k = ks.sum
     // Greedy δ-net: a point within δ of an existing center joins that
     // cluster, otherwise it becomes a new center.
     val centers = mutable.ArrayBuffer.empty[Element]
-    // representative element per (cluster, group), first-seen.
-    val rep = mutable.Map.empty[(Int, Int), Element]
+    // Representative element per (cluster, group), first-seen, in arrival order.
+    val rep = mutable.LinkedHashMap.empty[(Int, Int), Element]
     xs.foreach { x =>
       var best = -1
       var bestD = Double.PositiveInfinity
@@ -70,23 +73,14 @@ object FairFlow {
         else { centers += x; centers.length - 1 }
       rep.getOrElseUpdate((cluster, x.group), x)
     }
-    val nClusters = centers.length
-    // Nodes: 0 = source, 1..m = groups, m+1..m+nClusters = clusters, last = sink.
-    val src = 0
-    val sink = m + nClusters + 1
-    val flow = new MaxFlow(sink + 1)
-    (0 until m).foreach(i => flow.addEdge(src, 1 + i, ks(i)))
-    rep.keys.foreach { case (cluster, g) => flow.addEdge(1 + g, m + 1 + cluster, 1) }
-    (0 until nClusters).foreach(c => flow.addEdge(m + 1 + c, sink, 1))
-    if (flow.maxflow(src, sink) < k) None
-    else {
-      val sol = Vector.newBuilder[Element]
-      (0 until m).foreach { g =>
-        flow.outgoingFlows(1 + g).foreach { case (clusterNode, f) =>
-          if (f > 0) sol += rep((clusterNode - m - 1, g))
-        }
-      }
-      Some(sol.result())
-    }
+    // One ground position per representative: M₁ caps group i at k_i, M₂
+    // caps each cluster at 1. A constant distance turns Algorithm 4's greedy
+    // phase into a smallest-id-first maximal set, so the assignment stays
+    // arbitrary, as in [32].
+    val reps = rep.values.toArray
+    val m1 = new PartitionMatroid(reps.map(_.group), ks)
+    val m2 = new PartitionMatroid(rep.keysIterator.map(_._1).toArray, _ => 1)
+    val picked = MatroidIntersection.augmentToMax(m1, m2, (_, _) => 0.0, p => reps(p).id, Nil)
+    if (picked.length < ks.sum) None else Some(picked.iterator.map(reps(_)).toVector)
   }
 }

@@ -50,25 +50,6 @@ final case class DistanceBounds(dmin: Double, dmax: Double) {
 
 object DistanceBounds {
 
-  /** Exact bounds by full pairwise scan — test-scale only, O(n²). */
-  def exact(xs: IndexedSeq[Element], metric: Metric): DistanceBounds = {
-    var mn = Double.PositiveInfinity
-    var mx = 0.0
-    var i = 0
-    while (i < xs.length) {
-      var j = i + 1
-      while (j < xs.length) {
-        val d = metric.dist(xs(i), xs(j))
-        if (d > 0 && d < mn) mn = d
-        if (d > mx) mx = d
-        j += 1
-      }
-      i += 1
-    }
-    require(mn.isFinite && mx > 0, "degenerate dataset: all points coincide")
-    DistanceBounds(mn, mx)
-  }
-
   /** Estimated bounds: pivot-based d_max upper bound and sampled d_min with a
     * /2 safety margin (see class doc). Deterministic in the input order.
     *

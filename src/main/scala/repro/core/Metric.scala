@@ -144,13 +144,3 @@ private[core] object Acos {
     p / q
   }
 }
-
-object Metric {
-  /** Lookup by the names used in dataset configs and job arguments. */
-  def byName(s: String): Metric = s.toLowerCase match {
-    case "euclidean" => Euclidean
-    case "manhattan" => Manhattan
-    case "angular"   => Angular
-    case other       => throw new IllegalArgumentException(s"unknown metric: $other")
-  }
-}

@@ -88,11 +88,20 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
     best
   }
 
-  /** Stores the current arrival in candidate j, which must have room. */
+  /** Stores the current arrival in candidate j, which must have room, unless
+    * the candidate already holds its slot. That happens only when the same
+    * element arrives again before the memo meets another, so it keeps its
+    * slot, and its distance to itself is NaN, which passes the µ test; no
+    * other element can have been admitted since, so the slot is the last one.
+    */
   def add(j: Int): Unit = {
+    val b = j * cap
     val n = sizes(j)
-    held(j * cap + n) = memo.admit()
-    sizes(j) = n + 1
+    val s = memo.admit()
+    if (n == 0 || held(b + n - 1) != s) {
+      held(b + n) = s
+      sizes(j) = n + 1
+    }
   }
 
   /** Offers `x` to every candidate that it can change. The memo meets `x`
@@ -134,8 +143,9 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   }
 
   /** Wakes the dormant candidates with µ ≤ d(x, x₀), or all of them if it is
-    * NaN. Each holds only x₀, so it admits x; it joins the end of `live`,
-    * above every live guess, unless x filled it.
+    * NaN. Each holds only x₀, so it admits x (unless x is x₀ again, see
+    * [[add]]); it joins the end of `live`, above every live guess, unless x
+    * filled it.
     */
   private def wake(): Unit = {
     val d = memo.dist(x0)
@@ -143,7 +153,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
     var j = lo
     while (j < g && !(d < mus(j))) {
       add(j)
-      if (cap > 2) { live(nLive) = j; nLive += 1 }
+      if (sizes(j) < cap) { live(nLive) = j; nLive += 1 }
       j += 1
     }
     offered += j - lo

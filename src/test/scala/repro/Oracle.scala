@@ -2,10 +2,10 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import repro.core.{Diversity, Element, Metric}
+import repro.core.{DistanceBounds, Diversity, Element, Metric}
 
-/** Test oracles: exact optima by brute force, and a DuckDB check of Spark
-  * queries.
+/** Test oracles: exact distance bounds and optima by brute force, and a
+  * DuckDB check of Spark queries.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
@@ -74,6 +74,27 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  /** Exact bounds `[d_min, d_max]` by a full pairwise scan; O(n²), so
+    * callers keep n small. Rejects input whose points all coincide.
+    */
+  def exactBounds(xs: IndexedSeq[Element], metric: Metric): DistanceBounds = {
+    var mn = Double.PositiveInfinity
+    var mx = 0.0
+    var i = 0
+    while (i < xs.length) {
+      var j = i + 1
+      while (j < xs.length) {
+        val d = metric.dist(xs(i), xs(j))
+        if (d > 0 && d < mn) mn = d
+        if (d > mx) mx = d
+        j += 1
+      }
+      i += 1
+    }
+    require(mn.isFinite && mx > 0, "degenerate dataset: all points coincide")
+    DistanceBounds(mn, mx)
   }
 
   /** `d(x, S) = min_{y ∈ S} d(x,y)`; +∞ for empty S. */

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 
 /** Input validation at ingestion, the candidates' invariants and degenerate
   * outcomes, for all three streaming algorithms: [[CandidateBank.process]]
@@ -12,7 +12,7 @@ import repro.TestGen
 class CandidateBankSpec extends AnyFunSuite {
 
   private val xs = TestGen.randomElements(40, 2, 3, 2024L, minPerGroup = 5)
-  private val bounds = DistanceBounds.exact(xs, Euclidean)
+  private val bounds = Oracle.exactBounds(xs, Euclidean)
   private def banks: Seq[CandidateBank] = Seq(
     new StreamingDM(4, 0.1, bounds, Euclidean),
     new SFDM1(2, 2, 0.1, bounds, Euclidean),

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 
 /** The distance-evaluation counters of [[FdmResult]]. The stream phase
   * evaluates each (arrival, stored element) pair at most once, and
@@ -22,18 +22,18 @@ class EvalCountSpec extends AnyFunSuite {
   }
 
   test("StreamingDM: evaluations are bounded by the distinct pairs of each phase") {
-    checkCounts(new StreamingDM(7, 0.1, DistanceBounds.exact(xs2, Euclidean), Euclidean), xs2)
+    checkCounts(new StreamingDM(7, 0.1, Oracle.exactBounds(xs2, Euclidean), Euclidean), xs2)
   }
 
   test("SFDM1: evaluations are bounded by the distinct pairs of each phase") {
-    checkCounts(new SFDM1(2, 5, 0.1, DistanceBounds.exact(xs2, Euclidean), Euclidean), xs2)
+    checkCounts(new SFDM1(2, 5, 0.1, Oracle.exactBounds(xs2, Euclidean), Euclidean), xs2)
   }
 
   test("SFDM2: evaluations are bounded by the distinct pairs of each phase") {
-    checkCounts(new SFDM2(IndexedSeq(1, 2, 4), 0.1, DistanceBounds.exact(xs3, Euclidean), Euclidean), xs3)
+    checkCounts(new SFDM2(IndexedSeq(1, 2, 4), 0.1, Oracle.exactBounds(xs3, Euclidean), Euclidean), xs3)
   }
 
   test("SFDM2 under Angular: evaluations are bounded by the distinct pairs of each phase") {
-    checkCounts(new SFDM2(IndexedSeq(1, 2, 4), 0.1, DistanceBounds.exact(xs3, Angular), Angular), xs3)
+    checkCounts(new SFDM2(IndexedSeq(1, 2, 4), 0.1, Oracle.exactBounds(xs3, Angular), Angular), xs3)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{PropSupport, TestGen}
+import repro.{Oracle, PropSupport, TestGen}
 
 /** Guess-ladder construction and d_min/d_max bound estimation. */
 class GuessLadderSpec extends AnyFunSuite with PropSupport {
@@ -45,7 +45,7 @@ class GuessLadderSpec extends AnyFunSuite with PropSupport {
   test("DistanceBounds.exact brackets all pairwise distances") {
     trials(20) { rng =>
       val xs = TestGen.randomElements(12, 1, 3, rng.nextLong())
-      val b = DistanceBounds.exact(xs, Euclidean)
+      val b = Oracle.exactBounds(xs, Euclidean)
       for (i <- xs.indices; j <- i + 1 until xs.length) {
         val d = Euclidean.dist(xs(i), xs(j))
         assert(d >= b.dmin - 1e-12 && d <= b.dmax + 1e-12)
@@ -56,7 +56,7 @@ class GuessLadderSpec extends AnyFunSuite with PropSupport {
   test("DistanceBounds.estimate brackets the exact bounds (dmin ≤ exact.dmin·…, dmax ≥ exact.dmax)") {
     trials(20) { rng =>
       val xs = TestGen.randomElements(60, 1, 3, rng.nextLong())
-      val exact = DistanceBounds.exact(xs, Euclidean)
+      val exact = Oracle.exactBounds(xs, Euclidean)
       val est = DistanceBounds.estimate(xs, Euclidean, sampleSize = 60)
       assert(est.dmax >= exact.dmax - 1e-12, "pivot bound must dominate the true dmax")
       assert(est.dmin <= exact.dmin + 1e-12, "sampled dmin/2 must sit at or below the true dmin when the sample is exhaustive")
@@ -128,7 +128,7 @@ class GuessLadderSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](DistanceBounds(0.0, 1.0))
     intercept[IllegalArgumentException](DistanceBounds(2.0, 1.0))
     val same = IndexedSeq(Element(0, 0, Array(1.0)), Element(1, 0, Array(1.0)))
-    intercept[IllegalArgumentException](DistanceBounds.exact(same, Euclidean))
+    intercept[IllegalArgumentException](Oracle.exactBounds(same, Euclidean))
     val e = intercept[IllegalArgumentException](DistanceBounds.estimate(same, Euclidean))
     assert(e.getMessage.contains("all points coincide"), e.getMessage)
   }

@@ -131,13 +131,6 @@ class MetricSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  test("Metric.byName resolves all metrics, case-insensitively") {
-    assert(Metric.byName("euclidean") == Euclidean)
-    assert(Metric.byName("Manhattan") == Manhattan)
-    assert(Metric.byName("ANGULAR") == Angular)
-    intercept[IllegalArgumentException](Metric.byName("cosine"))
-  }
-
   test("Element equality is by id (feature arrays ignored)") {
     val a = Element(1, 0, Array(1.0))
     val b = Element(1, 1, Array(2.0))

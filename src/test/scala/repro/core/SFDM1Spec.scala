@@ -9,7 +9,7 @@ import repro.{Oracle, TestGen}
 class SFDM1Spec extends AnyFunSuite {
 
   private def runOn(xs: IndexedSeq[Element], k1: Int, k2: Int, eps: Double): FdmResult = {
-    val st = new SFDM1(k1, k2, eps, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new SFDM1(k1, k2, eps, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     st.finish()
   }
@@ -81,7 +81,7 @@ class SFDM1Spec extends AnyFunSuite {
 
   test("memory: stored elements ≤ (k + k1 + k2) · |U| and < n at scale") {
     val xs = TestGen.randomElements(500, 2, 2, 8, minPerGroup = 10)
-    val st = new SFDM1(3, 3, 0.1, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new SFDM1(3, 3, 0.1, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     val res = st.finish()
     assert(res.storedElements <= (6 + 3 + 3) * st.guesses.length)
@@ -120,5 +120,20 @@ class SFDM1Spec extends AnyFunSuite {
     assert(res.solution.map(_.id) == Vector(0L, 4L, 1L, 1L) && res.diversity == 1.0, s"${res.solution}, ${res.diversity}")
     assert(res.solution(2) ne res.solution(3))
     assert(res.storedElements == 5)
+  }
+
+  test("an element sent twice in a row, whose distance to itself is NaN, is stored once per candidate (SFDM1 (2, 1), Angular)") {
+    // The second arrival keeps the first one's memo slot, and the NaN passes
+    // every µ test; a candidate that stored the slot again made a "fair"
+    // answer holding the element twice.
+    val big = Element(0, 0, Array(1e200, 1e200))
+    val xs = IndexedSeq(big, big, Element(1, 1, Array(1.0, 0.0)), Element(2, 1, Array(0.0, 1.0)), Element(3, 1, Array(-1.0, 0.2)))
+    val st = new SFDM1(2, 1, 0.1, DistanceBounds(0.1, 3.0), Angular)
+    st.processAll(xs)
+    for (p <- st.blind +: st.groups.toSeq; j <- st.guesses.indices)
+      assert(p.slots(j).distinct.length == p.size(j), s"guess $j holds ${p.slots(j).toSeq}")
+    val res = st.finish()
+    // Ids are unique here, so distinct ids are distinct slots.
+    assert(res.solution.map(_.id).distinct.size == res.solution.size, s"${res.solution}")
   }
 }

@@ -9,7 +9,7 @@ import repro.{Oracle, TestGen}
 class SFDM2Spec extends AnyFunSuite {
 
   private def runOn(xs: IndexedSeq[Element], ks: IndexedSeq[Int], eps: Double): FdmResult = {
-    val st = new SFDM2(ks, eps, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new SFDM2(ks, eps, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     st.finish()
   }
@@ -62,7 +62,7 @@ class SFDM2Spec extends AnyFunSuite {
 
   test("Lemma 3(i): clusters are µ/(m+1)-separated") {
     val xs = TestGen.randomElements(40, 3, 2, 71, minPerGroup = 5)
-    val st = new SFDM2(IndexedSeq(2, 2, 2), 0.1, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new SFDM2(IndexedSeq(2, 2, 2), 0.1, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 2)
     val sAll = st.contents // in slot order: position i holds slot i
@@ -77,7 +77,7 @@ class SFDM2Spec extends AnyFunSuite {
 
   test("Lemma 3 single-linkage: within a cluster every element has a neighbor within threshold") {
     val xs = TestGen.clusteredElements(30, 2, 2, 4, 23, minPerGroup = 5)
-    val st = new SFDM2(IndexedSeq(2, 2), 0.1, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new SFDM2(IndexedSeq(2, 2), 0.1, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 3)
     val sAll = st.contents // in slot order: position i holds slot i
@@ -98,7 +98,7 @@ class SFDM2Spec extends AnyFunSuite {
     val rng = new scala.util.Random(3)
     val xs = (0 until 80).map(i => Element(i.toLong, if (i % 8 == 0) 1 else 0, Array(rng.nextDouble() * 10, rng.nextDouble() * 10)))
     val ks = IndexedSeq(2, 2)
-    val st = new SFDM2(ks, 0.1, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new SFDM2(ks, 0.1, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     val res = st.finish()
     assert(res.groupCounts.getOrElse(0, 0) == 2 && res.groupCounts.getOrElse(1, 0) == 2)
@@ -138,7 +138,7 @@ class SFDM2Spec extends AnyFunSuite {
     var ratios = List.empty[Double]
     for (seed <- 1 to 10) {
       val xs = TestGen.randomElements(40, 2, 2, seed * 53L, minPerGroup = 6)
-      val b = DistanceBounds.exact(xs, Euclidean)
+      val b = Oracle.exactBounds(xs, Euclidean)
       val s1 = new SFDM1(3, 3, 0.1, b, Euclidean); s1.processAll(xs)
       val s2 = new SFDM2(IndexedSeq(3, 3), 0.1, b, Euclidean); s2.processAll(xs)
       val (d1, d2) = (s1.finish().diversity, s2.finish().diversity)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
+import repro.{Oracle, TestGen}
 import repro.baseline.FairSwap
 
 /** Exact solution ids on fixed instances. The guarantee suites check the
@@ -21,7 +21,7 @@ class SolutionIdsSpec extends AnyFunSuite {
   }
 
   private def bounds(kind: String, xs: IndexedSeq[Element]): DistanceBounds =
-    if (kind == "exact") DistanceBounds.exact(xs, Euclidean) else DistanceBounds.estimate(xs, Euclidean)
+    if (kind == "exact") Oracle.exactBounds(xs, Euclidean) else DistanceBounds.estimate(xs, Euclidean)
 
   private val expected: Map[String, Seq[Long]] = Map(
     "StreamingDM/exact" -> Seq(0, 1, 5, 7, 9, 20, 136),

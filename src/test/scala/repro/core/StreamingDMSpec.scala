@@ -9,7 +9,7 @@ import repro.{Oracle, TestGen}
 class StreamingDMSpec extends AnyFunSuite {
 
   private def runOn(xs: IndexedSeq[Element], k: Int, eps: Double): (FdmResult, StreamingDM) = {
-    val st = new StreamingDM(k, eps, DistanceBounds.exact(xs, Euclidean), Euclidean)
+    val st = new StreamingDM(k, eps, Oracle.exactBounds(xs, Euclidean), Euclidean)
     st.processAll(xs)
     (st.finish(), st)
   }

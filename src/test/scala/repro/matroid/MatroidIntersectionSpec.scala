@@ -34,11 +34,14 @@ class MatroidIntersectionSpec extends AnyFunSuite {
   for (seed <- 1 to 20) {
     test(s"augmentToMax from ∅ reaches the brute-force maximum cardinality (seed $seed)") {
       val (xs, m1, m2) = instance(seed)
-      val result = augment(xs, m1, m2, Vector.empty).toSeq
-      assert(Independence(m1, result) && Independence(m2, result), "result must be common independent")
-      assert(result.map(xs(_).id).distinct.size == result.size, "no duplicates")
       val brute = bruteMaxCommon(xs, m1, m2)
-      assert(result.size == brute, s"got ${result.size}, brute force says $brute")
+      // Euclidean, and the constant distance FairFlow passes.
+      val results = Seq(augment(xs, m1, m2, Vector.empty), MatroidIntersection.augmentToMax(m1, m2, (_, _) => 0.0, xs(_).id, Nil))
+      for (result <- results.map(_.toSeq)) {
+        assert(Independence(m1, result) && Independence(m2, result), "result must be common independent")
+        assert(result.map(xs(_).id).distinct.size == result.size, "no duplicates")
+        assert(result.size == brute, s"got ${result.size}, brute force says $brute")
+      }
     }
   }
 

@@ -11,7 +11,7 @@ class StructuredFDMSpec extends SparkSpec {
 
   test("SFDM1 via Structured Streaming ≡ sequential one-pass on the same permutation") {
     val xs = TestGen.randomElements(150, 2, 2, 1, minPerGroup = 10)
-    val bounds = DistanceBounds.exact(xs, Euclidean)
+    val bounds = Oracle.exactBounds(xs, Euclidean)
     val (streamed, batches) = StructuredFDM.run(spark, xs, new SFDM1(3, 3, 0.1, bounds, Euclidean), batchSize = 40)
     val local = { val st = new SFDM1(3, 3, 0.1, bounds, Euclidean); st.processAll(xs); st.finish() }
     assert(batches >= 4, s"expected ≥4 micro-batches, got $batches")
@@ -22,7 +22,7 @@ class StructuredFDMSpec extends SparkSpec {
 
   test("SFDM2 via Structured Streaming ≡ sequential one-pass (m = 3)") {
     val xs = TestGen.randomElements(120, 3, 2, 2, minPerGroup = 8)
-    val bounds = DistanceBounds.exact(xs, Euclidean)
+    val bounds = Oracle.exactBounds(xs, Euclidean)
     val ks = IndexedSeq(2, 2, 2)
     val (streamed, _) = StructuredFDM.run(spark, xs, new SFDM2(ks, 0.1, bounds, Euclidean), batchSize = 50)
     val local = { val st = new SFDM2(ks, 0.1, bounds, Euclidean); st.processAll(xs); st.finish() }
@@ -32,7 +32,7 @@ class StructuredFDMSpec extends SparkSpec {
 
   test("StreamingDM via Structured Streaming keeps the Theorem 1 guarantee") {
     val xs = TestGen.randomElements(14, 1, 2, 3)
-    val bounds = DistanceBounds.exact(xs, Euclidean)
+    val bounds = Oracle.exactBounds(xs, Euclidean)
     val opt = Oracle.bruteForceOpt(xs, 4, Euclidean)
     val (res, _) = StructuredFDM.run(spark, xs, new StreamingDM(4, 0.1, bounds, Euclidean), batchSize = 5)
     assert(res.diversity >= 0.9 / 2 * opt - 1e-9)
@@ -45,7 +45,7 @@ class StructuredFDMSpec extends SparkSpec {
     val rng = new scala.util.Random(7)
     val rest = (1 until 100).map(i => Element(i.toLong, 0, Array(rng.nextDouble(), rng.nextDouble())))
     val xs = far +: rest
-    val bounds = DistanceBounds.exact(xs, Euclidean)
+    val bounds = Oracle.exactBounds(xs, Euclidean)
     val (res, batches) = StructuredFDM.run(spark, xs, new StreamingDM(2, 0.1, bounds, Euclidean), batchSize = 10)
     assert(batches >= 10)
     assert(res.solution.exists(_.id == 0L), "the first-batch outlier must be in the final solution")
@@ -53,7 +53,7 @@ class StructuredFDMSpec extends SparkSpec {
 
   test("single-batch run also works (batchSize > n)") {
     val xs = TestGen.randomElements(30, 2, 2, 5, minPerGroup = 5)
-    val bounds = DistanceBounds.exact(xs, Euclidean)
+    val bounds = Oracle.exactBounds(xs, Euclidean)
     val (res, batches) = StructuredFDM.run(spark, xs, new SFDM1(2, 2, 0.1, bounds, Euclidean), batchSize = 1000)
     assert(batches >= 1)
     assert(res.groupCounts == Map(0 -> 2, 1 -> 2))
