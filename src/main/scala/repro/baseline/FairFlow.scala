@@ -32,7 +32,8 @@ object FairFlow {
   def run(xs: IndexedSeq[Element], ks: IndexedSeq[Int], metric: Metric, decay: Double = 0.9): Vector[Element] = {
     val m = ks.length
     val k = ks.sum
-    require(xs.nonEmpty && m >= 1 && ks.forall(_ >= 1))
+    require(xs.nonEmpty && m >= 1 && ks.forall(_ >= 1), s"need a nonempty input and quotas ≥ 1, got n=${xs.length}, ks=$ks")
+    xs.foreach(e => require(e.group >= 0 && e.group < m, s"element ${e.id}: group ${e.group} out of range [0,$m)"))
     val groupSizes = Array.tabulate(m)(i => xs.count(_.group == i))
     require((0 until m).forall(i => groupSizes(i) >= ks(i)), "quotas infeasible")
 

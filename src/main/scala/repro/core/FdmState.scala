@@ -24,9 +24,9 @@ final case class FdmResult(
     storedElements: Int,
     streamNanos: Long,
     postNanos: Long,
-    streamEvals: Long = 0L,
-    streamOffers: Long = 0L,
-    postEvals: Long = 0L,
+    streamEvals: Long,
+    streamOffers: Long,
+    postEvals: Long,
 ) {
   def totalSeconds: Double = (streamNanos + postNanos) / 1e9
 

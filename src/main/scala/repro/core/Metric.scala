@@ -22,8 +22,6 @@ sealed trait Metric extends Serializable {
     */
   def dist(a: Element, b: Element): Double
 
-  final def apply(a: Element, b: Element): Double = dist(a, b)
-
   /** Short display name for tables and logs. */
   def name: String
 }

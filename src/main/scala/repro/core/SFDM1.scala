@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.math.Ordering.Double.TotalOrdering
 
 /** Algorithm 2 — SFDM1, the `(1-ε)/4`-approximation streaming algorithm for
   * fair max-min diversity maximization with exactly m = 2 groups.
@@ -36,35 +37,27 @@ object SFDM1 {
     * id) and `dist` the distance between two handles.
     *
     * If group `iu` holds fewer than `ks(iu)` elements of `s`, insert `pool`
-    * handles of group `iu` that are not in `s`, farthest-first from the
-    * group-`iu` handles already in `s` (GMM-style; distance to the empty set
-    * is +∞, ties go to the smaller id), then delete the other group's handles
-    * closest to group `iu`'s until `|s| = Σ ks`. A balanced `s` is returned
-    * unchanged.
+    * handles of group `iu` that are not in `s` by a [[FarthestFirst]]
+    * traversal from the group-`iu` handles in `s` (ties go to the smaller id;
+    * an exhausted pool throws), then delete the other group's handles closest
+    * to group `iu`'s, the smallest (distance, id) first, until `|s| = Σ ks`.
+    * A balanced `s` is returned unchanged.
     */
   def balance(s0: Iterable[Int], pool: Iterable[Int], ks: IndexedSeq[Int], elem: Int => Element, dist: (Int, Int) => Double): Array[Int] = {
     val s = mutable.ArrayBuffer.from(s0)
-    // d(x, set); +∞ for the empty set.
-    def toSet(x: Int, set: Iterable[Int]): Double = set.foldLeft(Double.PositiveInfinity) { (best, y) =>
-      val d = dist(x, y)
-      if (d < best) d else best
-    }
-    ks.indices.find(i => s.count(elem(_).group == i) < ks(i)) match {
-      case None => s.toArray
-      case Some(iu) =>
-        val poolLeft = mutable.ArrayBuffer.from(pool.filter(x => elem(x).group == iu && !s.contains(x)))
-        while (s.count(elem(_).group == iu) < ks(iu)) {
-          val inGroup = s.filter(elem(_).group == iu)
-          val pick = poolLeft.maxBy(x => (toSet(x, inGroup), -elem(x).id))
-          s += pick
-          poolLeft -= pick
-        }
-        val inGroupU = s.filter(elem(_).group == iu)
-        while (s.length > ks.sum) {
-          val victim = s.filter(elem(_).group != iu).minBy(x => (toSet(x, inGroupU), elem(x).id))
-          s -= victim
-        }
-        s.toArray
+    ks.indices.find(i => s.count(elem(_).group == i) < ks(i)).fold(s.toArray) { iu =>
+      val inU = s.filter(elem(_).group == iu)
+      val ff = new FarthestFirst(pool.iterator.filter(x => elem(x).group == iu && !s.contains(x)).toArray, dist, elem(_).id)
+      inU.foreach(ff.add)
+      while (inU.length < ks(iu)) {
+        val p = ff.pick()
+        s += p; inU += p; ff.add(p)
+      }
+      // Group iu is final now: read each other-group handle's distance to it once.
+      def toU(x: Int) = inU.foldLeft(Double.PositiveInfinity) { (best, y) => val d = dist(x, y); if (d < best) d else best }
+      val others = s.indices.filter(t => elem(s(t)).group != iu).map(t => (toU(s(t)), elem(s(t)).id, t))
+      val drop = others.sorted.take(s.length - ks.sum).map(_._3).toSet
+      s.indices.filterNot(drop).map(s).toArray
     }
   }
 }

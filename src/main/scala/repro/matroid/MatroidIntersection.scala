@@ -1,12 +1,13 @@
 package repro.matroid
 
+import repro.core.FarthestFirst
 import scala.collection.mutable
 
 /** Algorithm 4 — matroid intersection à la Cunningham [18], adapted as in the
   * paper: initialized from a partial common independent set instead of ∅, and
-  * preceded by a GMM-style greedy phase that inserts elements of `V₁ ∩ V₂`
-  * farthest-first (each such element is a length-2 augmenting path ⟨a,x,b⟩,
-  * so greediness is free and buys diversity).
+  * preceded by a greedy phase that inserts elements of `V₁ ∩ V₂` by a
+  * [[FarthestFirst]] traversal (each such element is a length-2 augmenting
+  * path ⟨a,x,b⟩, so greediness is free and buys diversity).
   *
   * The second phase runs the standard augmentation-graph loop (Definition 2):
   * BFS a shortest `a → b` path and toggle the membership of its interior.
@@ -35,33 +36,15 @@ object MatroidIntersection {
     s0.foreach(s.add)
     require(s.independent, "the initial set must be common independent")
 
-    // --- Phase 1: greedy farthest-first over V1 ∩ V2 (Lines 2–7), as in GMM:
-    // each live candidate keeps d(x, S), updated once per pick. ---
-    val live = Array.range(0, n).filter(i => !s.contains(i) && s.canAdd(i))
-    var nLive = live.length
-    val toS = Array.fill(nLive)(Double.PositiveInfinity)
-    if (nLive > 0) s.order.foreach(y => nearer(live, nLive, toS, y, dist))
-    while (nLive > 0) {
-      // Larger d(x, S) first, then the smaller id.
-      var b = 0
-      var t = 1
-      while (t < nLive) {
-        val c = java.lang.Double.compare(toS(t), toS(b))
-        if (c > 0 || (c == 0 && id(live(t)) < id(live(b)))) b = t
-        t += 1
-      }
-      val pick = live(b)
+    // --- Phase 1: greedy farthest-first over V1 ∩ V2 (Lines 2–7). Counts
+    // only grow in this phase, so a candidate a matroid refuses never returns. ---
+    val ff = new FarthestFirst(Array.range(0, n).filter(i => !s.contains(i) && s.canAdd(i)), dist, id)
+    s.order.foreach(ff.add)
+    while (!ff.isEmpty) {
+      val pick = ff.pick()
       s.add(pick)
-      // Drop the pick and every candidate a matroid now refuses; counts only
-      // grow in this phase, so a refused candidate never returns.
-      var w = 0
-      t = 0
-      while (t < nLive) {
-        if (t != b && s.canAdd(live(t))) { live(w) = live(t); toS(w) = toS(t); w += 1 }
-        t += 1
-      }
-      nLive = w
-      nearer(live, nLive, toS, pick, dist)
+      ff.retain(s.canAdd)
+      ff.add(pick)
     }
 
     // --- Phase 2: Cunningham augmentation loop (Lines 8–14). ---
@@ -73,16 +56,6 @@ object MatroidIntersection {
       }
     }
     s.order.toArray
-  }
-
-  /** `toS(t) = min(toS(t), d(live(t), y))` for the first `nLive` candidates. */
-  private def nearer(live: Array[Int], nLive: Int, toS: Array[Double], y: Int, dist: (Int, Int) => Double): Unit = {
-    var t = 0
-    while (t < nLive) {
-      val d = dist(live(t), y)
-      if (d < toS(t)) toS(t) = d
-      t += 1
-    }
   }
 
   /** The current set S by ground position, in insertion order, with its

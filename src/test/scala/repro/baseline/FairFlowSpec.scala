@@ -55,6 +55,14 @@ class FairFlowSpec extends AnyFunSuite {
     assert(e.getMessage.contains("element 99"), e.getMessage)
   }
 
+  for (g <- Seq(3, -1)) {
+    test(s"rejects an element whose group $g is outside [0, m), naming it") {
+      val xs = TestGen.randomElements(30, 3, 2, 5, minPerGroup = 3) :+ Element(99, g, Array(0.5, 0.5))
+      val e = intercept[IllegalArgumentException](FairFlow.run(xs, IndexedSeq(1, 1, 1), Euclidean))
+      assert(e.getMessage.contains("element 99"), e.getMessage)
+    }
+  }
+
   test("deterministic in the input") {
     val xs = TestGen.randomElements(40, 3, 2, 3, minPerGroup = 4)
     val a = FairFlow.run(xs, IndexedSeq(2, 2, 2), Euclidean)
