@@ -10,8 +10,8 @@ import scala.collection.mutable
   * is available in this container; see DESIGN.md).
   *
   * Shape of the algorithm: guess a diversity target τ (descending geometric
-  * ladder seeded by 2·div(GMM) ≥ OPT_f); build a δ-net clustering of the
-  * *whole* dataset at δ = τ/(m+1); keep the first-seen element of each
+  * ladder, step 0.9, seeded by 2·div(GMM) ≥ OPT_f); build a δ-net clustering
+  * of the *whole* dataset at δ = τ/(m+1); keep the first-seen element of each
   * (cluster, group) pair as its representative; assign groups to clusters
   * with Algorithm 4 ([[MatroidIntersection.augmentToMax]]) over the
   * representatives, as a maximum common independent set of the group matroid
@@ -28,8 +28,7 @@ import scala.collection.mutable
   */
 object FairFlow {
 
-  /** @param decay multiplicative step of the descending τ ladder */
-  def run(xs: IndexedSeq[Element], ks: IndexedSeq[Int], metric: Metric, decay: Double = 0.9): Vector[Element] = {
+  def run(xs: IndexedSeq[Element], ks: IndexedSeq[Int], metric: Metric): Vector[Element] = {
     val m = ks.length
     val k = ks.sum
     require(xs.nonEmpty && m >= 1 && ks.forall(_ >= 1), s"need a nonempty input and quotas ≥ 1, got n=${xs.length}, ks=$ks")
@@ -45,7 +44,7 @@ object FairFlow {
       val delta = tau / (m + 1)
       solveAt(xs, ks, metric, delta) match {
         case Some(sol) => return sol
-        case None      => tau *= decay; attempt += 1
+        case None      => tau *= 0.9; attempt += 1
       }
     }
     // δ below d_min makes every point its own cluster, where feasibility is

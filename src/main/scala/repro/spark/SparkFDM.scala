@@ -11,16 +11,15 @@ import repro.core._
   */
 object SparkFDM {
 
-  /** Flat row mirror of [[Element]] for Dataset encoders. */
-  final case class ElementRow(id: Long, group: Int, features: Array[Double]) {
-    def toElement: Element = Element(id, group, features)
-  }
-
-  /** Collect the whole DataFrame in its current order — test-scale only. */
+  /** Collect the whole DataFrame to the driver in its current order. The
+    * experiments and the benchmark collect full-scale datasets (30,000–100,000
+    * rows) this way. The encoder reads the constructor fields `id, group,
+    * features`; each [[Element]] computes its `sqNorm` on construction.
+    */
   def collectElements(df: DataFrame): IndexedSeq[Element] = {
     val spark = df.sparkSession
     import spark.implicits._
-    df.select(col("id").cast("long"), col("group").cast("int"), col("features")).as[ElementRow]
-      .collect().map(_.toElement).toIndexedSeq
+    df.select(col("id").cast("long"), col("group").cast("int"), col("features")).as[Element]
+      .collect().toIndexedSeq
   }
 }

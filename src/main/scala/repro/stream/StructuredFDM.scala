@@ -10,17 +10,15 @@ import repro.core.{Element, FdmResult, FdmState}
   * per-guess candidates — O(km·logΔ/ε) elements, independent of the stream
   * length). Post-processing runs once at end-of-stream.
   *
-  * The candidates are order-insensitive for the approximation guarantees
-  * (Theorems 2 and 4 hold for any arrival order), but each batch is replayed
-  * in `seq` order so a Structured Streaming run is bit-identical to the
-  * sequential one-pass run on the same permutation — asserted in tests.
+  * The stream carries `(position, element)` pairs; the position is the
+  * element's index in the input and defines the logical arrival order across
+  * micro-batches. The candidates are order-insensitive for the approximation
+  * guarantees (Theorems 2 and 4 hold for any arrival order), but each batch
+  * is replayed in position order so a Structured Streaming run is
+  * bit-identical to the sequential one-pass run on the same permutation —
+  * asserted in tests.
   */
 object StructuredFDM {
-
-  /** A stream row: `seq` is the arrival position that defines the logical
-    * stream order across micro-batches.
-    */
-  final case class StreamRow(seq: Long, id: Long, group: Int, features: Array[Double])
 
   /** Feed `elements` (in order) through `state` as a MemoryStream-backed
     * streaming query with micro-batches of `batchSize`, then post-process.
@@ -34,23 +32,23 @@ object StructuredFDM {
       batchSize: Int = 4096,
   ): (FdmResult, Long) = {
     import spark.implicits._
-    val source = MemoryStream[StreamRow](spark)
+    val source = MemoryStream[(Int, Element)](spark)
     var batches = 0L
     val query = source
       .toDS()
       .writeStream
       .outputMode("append")
-      .foreachBatch { (batch: Dataset[StreamRow], _: Long) =>
+      .foreachBatch { (batch: Dataset[(Int, Element)], _: Long) =>
         // Micro-batch → state, in logical arrival order. The state lives on
         // the driver; the batch is collected and sorted there, as a global
         // `orderBy` would plan a shuffle for a few thousand rows.
-        batch.collect().sortBy(_.seq).foreach(r => state.process(Element(r.id, r.group, r.features)))
+        batch.collect().sortBy(_._1).foreach(p => state.process(p._2))
         batches += 1
       }
       .start()
     try {
-      elements.zipWithIndex
-        .map { case (e, i) => StreamRow(i.toLong, e.id, e.group, e.features) }
+      elements.iterator.zipWithIndex
+        .map(_.swap)
         .grouped(batchSize)
         .foreach { chunk =>
           source.addData(chunk)
