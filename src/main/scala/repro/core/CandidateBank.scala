@@ -39,7 +39,6 @@ abstract class CandidateBank(
   private val parts = if (quotas.isEmpty) Array(blind) else groups
   private val partQuotas = if (quotas.isEmpty) IndexedSeq(k) else quotas
 
-  private var streamNs = 0L
   // Feature length of the arrivals so far, and `seen` = −1 once there has
   // been one (0 before). The length test has no branch that only a stream's
   // first arrival takes: the JIT would compile it as never taken and then
@@ -50,6 +49,8 @@ abstract class CandidateBank(
   /** Offer `x` to its candidates. An arrival whose group is out of range,
     * whose feature length differs from the first arrival's, or that has a
     * non-finite feature is rejected with an `IllegalArgumentException`.
+    * It reads no clock: the stream phase is timed as one interval, from the
+    * blind part's first arrival to the start of [[finish]].
     */
   override def process(x: Element): Unit = {
     require(groups.isEmpty || (x.group >= 0 && x.group < groups.length), s"element ${x.id}: group ${x.group} out of range [0,${groups.length})")
@@ -57,10 +58,8 @@ abstract class CandidateBank(
     if (((len ^ dim) & seen) != 0 || !java.lang.Double.isFinite(x.sqNorm)) screen(x)
     dim = len
     seen = -1
-    val t0 = System.nanoTime()
     blind.offer(x)
     if (groups.length > 0) groups(x.group).offer(x)
-    streamNs += System.nanoTime() - t0
   }
 
   /** Rejects an arrival that failed [[process]]'s test, naming it, unless
@@ -116,10 +115,10 @@ abstract class CandidateBank(
     * `IllegalArgumentException`.
     */
   final override def finish(): FdmResult = {
+    val t0 = System.nanoTime()
     // The first arrival enters every blind candidate.
     if (blind.size(0) == 0) throw new IllegalStateException("the stream was empty: finish() before any arrival")
     require(!blind.coincident, "degenerate stream: all points coincide")
-    val t0 = System.nanoTime()
     val dist = new PairTable(memo)
     val js = eligible
     val seen = new java.util.BitSet(memo.size)
@@ -137,6 +136,6 @@ abstract class CandidateBank(
     val post = System.nanoTime() - t0
     val div = Diversity.div(sol, at)
     val offers = groups.foldLeft(blind.offers)(_ + _.offers)
-    FdmResult(sol.iterator.map(memo.element).toVector, div, fairSets.nonEmpty, memo.size, streamNs, post, memo.evals, offers, dist.evals)
+    FdmResult(sol.iterator.map(memo.element).toVector, div, fairSets.nonEmpty, memo.size, t0 - blind.firstArrivalNanos, post, memo.evals, offers, dist.evals)
   }
 }

@@ -9,7 +9,12 @@ package repro.core
   *                       when the fallback produced it
   * @param storedElements number of elements the algorithm held in memory
   *                       (the paper's "#elem" column in Table II)
-  * @param streamNanos    wall time of the one-pass stream-processing phase
+  * @param streamNanos    wall time of the one-pass stream-processing phase:
+  *                       from the first arrival to the start of `finish()`.
+  *                       It is one interval, not a sum over arrivals, so it
+  *                       includes whatever the caller does between arrivals;
+  *                       for a Structured Streaming run, Spark's time
+  *                       between micro-batch folds
   * @param postNanos      wall time of the post-processing phase
   * @param streamEvals    metric evaluations of the stream phase
   * @param streamOffers   candidates the stream phase offered an arrival to

@@ -43,6 +43,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   private var x0 = -1 // slot of the first arrival
   private var far = -1.0 // max d(x, x₀) over the arrivals that read it; −1 before one does
   private var offered = 0L
+  private var startNs = 0L
 
   def mu(j: Int): Double = mus(j)
   def size(j: Int): Int = sizes(j)
@@ -55,6 +56,12 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
     * arrival, then each live candidate scanned and each dormant one woken.
     */
   def offers: Long = offered
+
+  /** `System.nanoTime()` at the part's first arrival; 0 before it. It is read
+    * on the first-arrival path that [[offer]] has anyway, so no arrival after
+    * it reads the clock.
+    */
+  def firstArrivalNanos: Long = startNs
 
   /** At least two arrivals, all at distance 0 from x₀. Every arrival after
     * x₀ read d(x, x₀) while every candidate stayed dormant, so this is exact
@@ -121,6 +128,7 @@ private[core] final class Part(val cap: Int, mus: Array[Double], memo: DistanceM
   }
 
   private def first(): Unit = {
+    startNs = System.nanoTime()
     var j = 0
     while (j < g) { add(j); j += 1 }
     x0 = held(0)

@@ -33,17 +33,15 @@ object StructuredFDM {
   ): (FdmResult, Long) = {
     import spark.implicits._
     val source = MemoryStream[(Int, Element)](spark)
-    var batches = 0L
+    val sink = new Sink(state)
     val query = source
       .toDS()
       .writeStream
       .outputMode("append")
-      .foreachBatch { (batch: Dataset[(Int, Element)], _: Long) =>
-        // Micro-batch → state, in logical arrival order. The state lives on
-        // the driver; the batch is collected and sorted there, as a global
-        // `orderBy` would plan a shuffle for a few thousand rows.
-        batch.collect().sortBy(_._1).foreach(p => state.process(p._2))
-        batches += 1
+      .foreachBatch { (batch: Dataset[(Int, Element)], batchId: Long) =>
+        // The state lives on the driver; the batch is collected there, as a
+        // global `orderBy` would plan a shuffle for a few thousand rows.
+        sink.fold(batchId, batch.collect())
       }
       .start()
     try {
@@ -56,6 +54,29 @@ object StructuredFDM {
         }
       query.processAllAvailable()
     } finally query.stop()
-    (state.finish(), batches)
+    (state.finish(), sink.batches)
+  }
+
+  /** The `foreachBatch` sink: folds each micro-batch into `state` once.
+    * `foreachBatch` is at-least-once, so after a failure Spark may deliver a
+    * batch again under the same `batchId`. Batch ids ascend, so a batch whose
+    * id is at or below the last folded one is a redelivery and is skipped.
+    */
+  private[stream] final class Sink(state: FdmState) {
+    private var last = -1L
+
+    /** Micro-batches folded, redeliveries not counted. */
+    var batches = 0L
+
+    /** Feeds `rows` to the state in position order (the logical arrival
+      * order), unless `batchId` is a redelivery; `rows` is evaluated only for
+      * a new batch.
+      */
+    def fold(batchId: Long, rows: => Array[(Int, Element)]): Unit =
+      if (batchId > last) {
+        rows.sortBy(_._1).foreach(p => state.process(p._2))
+        last = batchId
+        batches += 1
+      }
   }
 }

@@ -130,6 +130,23 @@ class CandidateBankSpec extends AnyFunSuite {
     assert(!pinned(new SFDM2(IndexedSeq(2, 4), 0.1, bounds, Euclidean), group1Short, Seq(2, 3, 0, 1), 0.2953258864860237).fair)
   }
 
+  test("streamNanos runs from the first arrival to finish(), not from construction") {
+    val hundred = TestGen.randomElements(100, 2, 3, 77L, minPerGroup = 10)
+    val b = Oracle.exactBounds(hundred, Euclidean)
+    Seq(
+      () => new StreamingDM(4, 0.1, b, Euclidean),
+      () => new SFDM1(2, 2, 0.1, b, Euclidean),
+      () => new SFDM2(IndexedSeq(2, 2), 0.1, b, Euclidean),
+    ).foreach { make =>
+      val st = make()
+      Thread.sleep(200)
+      st.processAll(hundred)
+      val r = st.finish()
+      assert(r.streamNanos > 0 && r.streamNanos < 200000000L, s"streamNanos ${r.streamNanos}")
+      assert(r.postNanos > 0)
+    }
+  }
+
   test("an ordinary run of each algorithm is fair: |S| = k and every quota met") {
     banks.zip(Seq(Map.empty[Int, Int], Map(0 -> 2, 1 -> 2), Map(0 -> 2, 1 -> 2))).foreach { case (st, quotas) =>
       st.processAll(xs)

@@ -84,10 +84,8 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
       assert(p.slots(j).distinct.length == p.size(j), s"part $i, guess $j holds a slot twice: ${p.slots(j).toSeq}")
     }
     assert(st.memo.evals == ref.memo.evals, "stream-phase evaluations")
-    val x0 = c.stream.head
-    val coincide = c.stream.length >= 2 && st.k >= 2 && c.stream.forall(x => c.metric.dist(x, x0) == 0.0)
     val got = Try(st.finish())
-    if (coincide) {
+    if (coincide(c, st.k)) {
       val e = got.failed.get
       assert(e.isInstanceOf[IllegalArgumentException] && e.getMessage.contains("all points coincide"), e.toString)
     } else {
@@ -104,6 +102,32 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
         assert(a.streamEvals == b.streamEvals && a.postEvals == b.postEvals, "evaluations")
         assert(a.streamOffers <= refOffers, s"${a.streamOffers} offers, the reference made $refOffers")
       }
+    }
+    true
+  }
+
+  /** The stream has two or more arrivals whose points all coincide, which
+    * `finish()` rejects when k ≥ 2.
+    */
+  private def coincide(c: Case, k: Int): Boolean =
+    c.stream.length >= 2 && k >= 2 && c.stream.forall(x => c.metric.dist(x, c.stream.head) == 0.0)
+
+  /** SFDM1 or SFDM2 on the case's stream: unless all points coincide,
+    * `finish()` returns; a fair result has k elements and exactly k_i from
+    * each group i, and a stream with fewer than k_i arrivals in some group i
+    * gives a result that is not fair.
+    */
+  private def fairOrShort(c: Case): Boolean = {
+    val st = c.bank()
+    c.stream.foreach(st.process)
+    val got = Try(st.finish())
+    if (coincide(c, st.k)) assert(got.failed.get.isInstanceOf[IllegalArgumentException], got.toString)
+    else {
+      val r = got.get
+      val counts = c.ks.indices.map(i => r.groupCounts.getOrElse(i, 0))
+      if (r.fair) assert(r.solution.size == st.k && counts == c.ks, s"quotas ${c.ks}, got $counts")
+      val short = c.ks.indices.filter(i => c.stream.count(_.group == i) < c.ks(i))
+      assert(short.isEmpty || !r.fair, s"groups $short are below their quotas ${c.ks}, yet the result is fair")
     }
     true
   }
@@ -148,6 +172,15 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  // Each group i keeps at most its first k_i − 1 arrivals, or none; at least
+  // one arrival is left.
+  private val belowQuota = caseGen(algos = algoGen.suchThat(_._1 != 0))(asIs).flatMap { c =>
+    Gen.choose(0, c.ks.length - 1).flatMap(i => Gen.choose(0, c.ks(i) - 1).map { keep =>
+      val cut = c.stream.filter(_.group == i).drop(keep).toSet
+      c.copy(stream = c.stream.filterNot(cut))
+    })
+  }.suchThat(_.stream.nonEmpty)
+
   test("duplicate ids, as the same element again or with other features, give the reference's candidates and result") {
     check(duplicateIds, finishes = true)
   }
@@ -170,6 +203,11 @@ class StreamPhaseSpec extends AnyFunSuite with PropSupport {
 
   test("Angular features whose squares overflow, which give NaN distances, give the reference's candidates and result") {
     check(overflowing)
+  }
+
+  test("SFDM1 and SFDM2 on every stream above, and with a group below its quota: a fair result meets every quota, a short group gives an unfair one") {
+    val adversarial = Gen.oneOf(duplicateIds, coincident, absentGroup, sortedFromFirst, quotaOne, overflowing).suchThat(_.algo != 0)
+    checkProp(Prop.forAll(Gen.oneOf(adversarial, belowQuota))(fairOrShort), minSuccessful = 400)
   }
 
   test("storedElementCount equals contents.size and the distinct slots held across all parts, on each stream above") {

@@ -58,4 +58,22 @@ class StructuredFDMSpec extends SparkSpec {
     assert(batches >= 1)
     assert(res.groupCounts == Map(0 -> 2, 1 -> 2))
   }
+
+  test("a re-delivered micro-batch is a no-op: ids and stream counts equal a single delivery") {
+    val xs = TestGen.randomElements(120, 2, 2, 9, minPerGroup = 10)
+    val bounds = Oracle.exactBounds(xs, Euclidean)
+    // Rows out of position order, as a micro-batch may deliver them.
+    val batches = xs.zipWithIndex.map(_.swap).grouped(30).map(_.reverse.toArray).toVector
+    def deliver(ids: Seq[Int]): (FdmResult, Long) = {
+      val st = new SFDM1(3, 3, 0.1, bounds, Euclidean)
+      val sink = new StructuredFDM.Sink(st)
+      ids.foreach(b => sink.fold(b.toLong, batches(b)))
+      (st.finish(), sink.batches)
+    }
+    val (once, n) = deliver(batches.indices)
+    val (again, m) = deliver(Seq(0, 0, 1, 2, 1, 2, 3, 3, 0))
+    assert(n == batches.length && m == n)
+    assert(again.solution.map(_.id) == once.solution.map(_.id))
+    assert(again.streamEvals == once.streamEvals && again.streamOffers == once.streamOffers)
+  }
 }
