@@ -61,6 +61,9 @@ object StructuredFDM {
     * `foreachBatch` is at-least-once, so after a failure Spark may deliver a
     * batch again under the same `batchId`. Batch ids ascend, so a batch whose
     * id is at or below the last folded one is a redelivery and is skipped.
+    * [[run]] starts one query without a checkpoint and never restarts it, so
+    * there the skip cannot fire yet; Spark re-delivers a `batchId` only when
+    * a query restarts from its checkpoint, which the sink is ready for.
     */
   private[stream] final class Sink(state: FdmState) {
     private var last = -1L

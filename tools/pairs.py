@@ -1,27 +1,29 @@
 #!/usr/bin/env python3
-"""Paired runs of the benchmark: a parent commit against the working tree.
+"""Paired runs of the benchmark: a parent commit against a change.
 
-    python3 tools/pairs.py --topic NAME --parent REV [--workloads W ...]
-                           [--pairs N] [--seed S] [--seconds T]
-                           [--hash-seeds S ...] [--aa-pairs N] [--what TEXT]
+    python3 tools/pairs.py --topic NAME --parent REV [--what TEXT]
 
-Run it from the root of a checkout. The parent REV is exported with
-`git archive` into a temporary directory (under $TMPDIR), so each side builds
-from its own sources and the repository's git state is left as it was. Every
-run is the unchanged BENCHMARK.json command plus `--workload W --seed S
---seconds T --trace 0`, on one side at a time. Pair p runs both sides on each
-workload, the parent first when p is even and the change first when p is odd
-(ABBA). Then each side runs once per workload on each of --hash-seeds, for
-the first-pass solution hashes. With --aa-pairs, a second copy of the parent
-is run against the first on the first workload in the same order, which gives
-the spread that noise alone produces.
+Run it from the root of a checkout. The change is the working tree: HEAD if
+the tree is clean, else a `git stash create` commit of its tracked files.
+Both the parent REV and the change are exported with `git archive` into
+sibling directories under $TMPDIR, so each side builds and runs from its own
+copy on the same filesystem, and the repository's git state is left as it
+was. Every run is the unchanged BENCHMARK.json command plus `--workload W
+--seed 1 --seconds T --trace 0`, with T its run_seconds, on one side at a
+time and on every workload. Pair p of 10 runs both sides on each workload,
+the parent first when p is even and the change first when p is odd (ABBA).
+Then a second copy of the parent runs 5 such pairs against the first on the
+first workload (the A/A set), which gives the spread that noise alone
+produces. Last, each side runs once per workload on seeds 101 and 20221, for
+the first-pass solution hashes.
 
-It writes BENCH_<topic>.json: every run's results file, with the host's
-steal share over the run, and per comparison, workload and metric each
-side's quartiles, the change/parent ratio of each pair, their median, the
-pairs each side won and a two-sided sign-test p. The exit code is 1 if the
-solution hash, stored_elems or diversity differ between the sides on any
-workload and seed, or if a run failed; 0 otherwise.
+It writes BENCH_<topic>.json: the commit and tree hash of each side, every
+run's results file with the host's steal share over the run, and per
+comparison, workload and metric each side's quartiles, the change/parent
+ratio of each pair, their median, the pairs each side won and a two-sided
+sign-test p. The exit code is 1 if the solution hash, stored_elems or
+diversity differ between the sides on any workload and seed, or if a run
+failed; 0 otherwise.
 """
 import argparse
 import json
@@ -38,6 +40,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 1800  # the first run of a tree also builds it
 # Outputs that a performance change must not move.
 FIXED = ("stored_elems", "diversity")
+SEED = 1
+HASH_SEEDS = (101, 20221)
+PAIRS = 10
+AA_PAIRS = 5
 # Derived from each results file's solve_ms: the warm-up of the timed loop.
 WARMUP = {"name": "solve_ms_first20_median", "unit": "ms", "better": "lower"}
 
@@ -162,38 +168,32 @@ def main():
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--topic", required=True, help="names the output file BENCH_<topic>.json")
     p.add_argument("--parent", required=True, help="the commit to compare the working tree against")
-    p.add_argument("--workloads", nargs="+", default=None, help="default: every workload in BENCHMARK.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=None, help="default: BENCHMARK.json's run_seconds")
-    p.add_argument("--hash-seeds", type=int, nargs="*", default=[101, 20221])
-    p.add_argument("--aa-pairs", type=int, default=0)
     p.add_argument("--what", default="", help="what the change is, for the record")
     a = p.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     command = spec["command"]
-    workloads = a.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     aa_workloads = workloads[:1]
-    seconds = a.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"] + [WARMUP]
-    parent = git("rev-parse", a.parent)
     head = git("rev-parse", "HEAD")
-    dirty = git("status", "--porcelain") != ""
+    revs = {"parent": git("rev-parse", a.parent), "change": git("stash", "create") or head}
+    revs["parent_b"] = revs["parent"]
+    untracked = git("ls-files", "--others", "--exclude-standard")
+    if untracked:
+        print("pairs: untracked files are not part of the change:\n" + untracked, file=sys.stderr)
 
     # Short paths: sbt puts a unix socket under each tree, and socket paths
     # are limited to about 100 bytes.
     scratch = tempfile.mkdtemp(prefix="pr")
-    trees = {"parent": os.path.join(scratch, "a"), "change": ROOT}
-    if a.aa_pairs:
-        trees["parent_b"] = os.path.join(scratch, "b")
+    trees = {side: os.path.join(scratch, d) for side, d in (("parent", "a"), ("change", "c"), ("parent_b", "b"))}
     log_path = os.path.join(scratch, "runs.log")
     runs = []
     try:
-        for side in ("parent", "parent_b"):
-            if side in trees:
-                export(parent, trees[side])
+        for side, tree in trees.items():
+            export(revs[side], tree)
         with open(log_path, "w") as log:
             # Build every tree before the first timed run.
             for side, tree in trees.items():
@@ -210,30 +210,29 @@ def main():
                 r.update({"kind": kind, "pair": pair, "side": side, "workload": workload, "seed": seed, "order": order})
                 runs.append(r)
 
-            for pair in range(a.pairs):
+            for pair in range(PAIRS):
                 sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for w in workloads:
                     for i, side in enumerate(sides):
-                        go("ab", pair, side, w, a.seed, i)
-            for pair in range(a.aa_pairs):
+                        go("ab", pair, side, w, SEED, i)
+            for pair in range(AA_PAIRS):
                 sides = ("parent", "parent_b") if pair % 2 == 0 else ("parent_b", "parent")
                 for w in aa_workloads:
                     for i, side in enumerate(sides):
-                        go("aa", pair, side, w, a.seed, i)
-            for seed in a.hash_seeds:
+                        go("aa", pair, side, w, SEED, i)
+            for seed in HASH_SEEDS:
                 for w in workloads:
                     for i, side in enumerate(("parent", "change")):
                         go("hash", None, side, w, seed, i)
     finally:
-        for side in ("parent", "parent_b"):
-            if side in trees:
-                shutil.rmtree(trees[side], ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
 
     # Deterministic outputs, per workload and seed, over every run of a side.
     problems = []
     outputs = {}
     for w in workloads:
-        for seed in [a.seed] + [s for s in a.hash_seeds if s != a.seed]:
+        for seed in (SEED,) + HASH_SEEDS:
             seen = {}
             for side in ("parent", "change"):
                 mine = [r for r in runs if r["workload"] == w and r["seed"] == seed and r["side"] == side and "results" in r]
@@ -249,17 +248,19 @@ def main():
     problems += ["%s %s %s seed %d pair %s exited %d" % (r["kind"], r["side"], r["workload"], r["seed"], r["pair"], r["exit"])
                  for r in failed]
 
-    summary = {"change_vs_parent": {w: summarise([r for r in runs if r["kind"] == "ab" and r["workload"] == w],
-                                                 "parent", "change", metrics) for w in workloads}}
-    if a.aa_pairs:
-        summary["parent_b_vs_parent"] = {w: summarise([r for r in runs if r["kind"] == "aa" and r["workload"] == w],
-                                                      "parent", "parent_b", metrics) for w in aa_workloads}
+    summary = {
+        "change_vs_parent": {w: summarise([r for r in runs if r["kind"] == "ab" and r["workload"] == w],
+                                          "parent", "change", metrics) for w in workloads},
+        "parent_b_vs_parent": {w: summarise([r for r in runs if r["kind"] == "aa" and r["workload"] == w],
+                                            "parent", "parent_b", metrics) for w in aa_workloads},
+    }
     doc = {
         "what": a.what,
         "command": command + ["--workload", "W", "--seed", "S", "--seconds", str(seconds), "--trace", "0"],
         "machine": machine(),
-        "parent": parent,
-        "change": {"base": head, "uncommitted_changes": dirty},
+        "parent": {"commit": revs["parent"], "tree": git("rev-parse", revs["parent"] + "^{tree}")},
+        "change": {"commit": revs["change"], "tree": git("rev-parse", revs["change"] + "^{tree}"), "head": head,
+                   "uncommitted_changes": revs["change"] != head},
         "order": "ABBA: pair p runs the parent (or, in the A/A set, its first copy) first when p is even",
         "quartiles": "statistics.quantiles(method='inclusive'); ratios are the second side over the first",
         "outputs": outputs,
