@@ -28,6 +28,22 @@ class FairFlowSpec extends AnyFunSuite {
     }
   }
 
+  for (m <- 2 to 4) {
+    test(s"fair and div ≥ 0.9/(3m+1)·OPT_f on 150 brute-force instances (m=$m)") {
+      val floor = 0.9 / (3 * m + 1)
+      for (seed <- 1 to 150) {
+        val ks = IndexedSeq.tabulate(m)(i => 1 + (seed + i) % 2)
+        val xs = TestGen.randomElements(12, m, 2, seed * 43L + m, minPerGroup = ks.max)
+        val sol = FairFlow.run(xs, ks, Euclidean)
+        assert(sol.map(_.id).distinct.size == ks.sum && (0 until m).forall(i => sol.count(_.group == i) == ks(i)),
+          s"seed $seed: ${sol.map(_.group)} vs $ks")
+        val optF = Oracle.bruteForceFairOpt(xs, ks, Euclidean)
+        val d = Diversity.div(sol, Euclidean)
+        assert(d >= floor * optF - 1e-9, s"seed $seed, ks $ks: div $d < ${floor}·OPT_f ($optF)")
+      }
+    }
+  }
+
   test("quality degrades with m relative to OPT_f (the paper's Table II shape)") {
     // Same point cloud, increasing m: FairFlow's threshold ∝ 1/(m+1) drags
     // the achieved diversity down; verify the m=6 run falls below the m=2 run.

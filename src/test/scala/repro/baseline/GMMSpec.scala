@@ -34,7 +34,7 @@ class GMMSpec extends AnyFunSuite {
 
   test("k = 1 returns the start element") {
     val xs = TestGen.randomElements(5, 1, 2, 4)
-    assert(GMM.run(xs, 1, Euclidean, startIdx = 2) == Vector(xs(2)))
+    assert(GMM.run(xs, 1, Euclidean) == Vector(xs(0)))
   }
 
   test("deterministic for a fixed start") {

@@ -13,11 +13,11 @@ class FarthestFirstEquivalenceSpec extends AnyFunSuite {
   /** The replaced `GMM.picks`: one distance array over all n positions,
     * updated and scanned once per pick.
     */
-  private def referencePicks(xs: IndexedSeq[Element], k: Int, metric: Metric, startIdx: Int): Vector[Int] = {
+  private def referencePicks(xs: IndexedSeq[Element], k: Int, metric: Metric): Vector[Int] = {
     val n = xs.length
     val dist = Array.fill(n)(Double.PositiveInfinity)
     val sol = Vector.newBuilder[Int]
-    var last = startIdx
+    var last = 0
     sol += last
     dist(last) = Double.NegativeInfinity
     var picked = 1
@@ -114,9 +114,8 @@ class FarthestFirstEquivalenceSpec extends AnyFunSuite {
         val rng = new scala.util.Random(seed)
         val (xs, metric) = instance(kind, rng)
         val k = 1 + rng.nextInt(xs.length)
-        val start = rng.nextInt(xs.length)
-        val got = GMM.picks(xs, k, metric, start)
-        val want = referencePicks(xs, k, metric, start)
+        val got = GMM.picks(xs, k, metric)
+        val want = referencePicks(xs, k, metric)
         assert(got == want, s"seed $seed: $got vs reference $want")
         sawNaN ||= hasNaN(xs, metric)
       }
@@ -161,10 +160,5 @@ class FarthestFirstEquivalenceSpec extends AnyFunSuite {
       intercept[NoSuchElementException](SFDM1.balance(Seq(0, 1, 2), pool, IndexedSeq(1, 2), xs, dist))
       intercept[UnsupportedOperationException](referenceBalance(Seq(0, 1, 2), pool, IndexedSeq(1, 2), xs, dist))
     }
-  }
-
-  test("GMM rejects a start position outside the input") {
-    val xs = IndexedSeq(Element(1, 0, Array(0.0)), Element(2, 1, Array(1.0)))
-    for (start <- Seq(-1, 2)) intercept[IllegalArgumentException](GMM.picks(xs, 2, Euclidean, start))
   }
 }

@@ -66,7 +66,7 @@ class SFDM2Spec extends AnyFunSuite {
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 2)
     val sAll = st.contents // in slot order: position i holds slot i
-    val cluster = st.clusterIds(sAll.length, mu, new PairTable(st.memo).at)
+    val cluster = SFDM2.clusterIds(sAll.length, mu / 4, new PairTable(st.memo).at)
     val cid = sAll.indices.map(i => sAll(i).id -> cluster(i)).toMap
     val thr = mu / 4 // m + 1 = 4
     for (i <- sAll.indices; j <- i + 1 until sAll.length
@@ -81,7 +81,7 @@ class SFDM2Spec extends AnyFunSuite {
     st.processAll(xs)
     val mu = st.guesses(st.guesses.length / 3)
     val sAll = st.contents // in slot order: position i holds slot i
-    val cluster = st.clusterIds(sAll.length, mu, new PairTable(st.memo).at)
+    val cluster = SFDM2.clusterIds(sAll.length, mu / 3, new PairTable(st.memo).at)
     val cid = sAll.indices.map(i => sAll(i).id -> cluster(i)).toMap
     val thr = mu / 3 // m + 1 = 3
     sAll.groupBy(e => cid(e.id)).values.filter(_.size > 1).foreach { cluster =>
